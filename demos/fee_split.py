@@ -8,7 +8,7 @@ the worked 10,000-fee block: 1,500 to the proposer at full precommit,
 from fractions import Fraction
 
 from luncsim import MICRO, build_state
-from luncsim.distribution import allocate_block_fees, withdraw_rewards
+from luncsim.distribution import allocate_block_fees
 from luncsim.ledger import FEE_COLLECTOR
 
 state = build_state({
@@ -42,7 +42,5 @@ minimal = allocate_block_fees(state.bank, state.distribution, state.staking,
                               precommit_power_fraction=Fraction(2, 3))
 print("proposer at 2/3 precommit:", minimal["proposer"])
 
-# the self-delegated operators can pull their accrued share
-got = withdraw_rewards(state.bank, state.distribution, state.staking,
-                       "val2", "val2")
-print("val2 withdraws:", got, "-> balance", state.bank.balances("val2"))
+# validator earnings stay accrued in the distribution module account
+print("accrued by validator:", state.distribution.validator_accrued)

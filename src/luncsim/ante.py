@@ -2,8 +2,8 @@
 
 A transaction passes through two stages. The fee stage verifies the declared
 fee covers gas plus the transfer tax owed by the message contents and moves
-the whole declared fee into the fee collector. The burn stage (inert while
-simulating, and below the tax activation height) recomputes the tax owed --
+the whole declared fee into the fee collector. The burn stage (inert below
+the tax activation height) recomputes the tax owed --
 deliberately redundant, the two computations must agree -- then moves that
 amount from the fee collector into the burn staging account, destroys it,
 and records the burn in the treasury's epoch counter.
@@ -214,7 +214,7 @@ def burn_tax_decorator(bank, ts: treasury_mod.TreasuryState, tx: Tx, height: int
 
 
 def run_ante_pipeline(bank, ts: treasury_mod.TreasuryState, cfg: AnteConfig,
-                      tx: Tx, height: int, simulate: bool = False) -> dict:
+                      tx: Tx, height: int) -> dict:
     """Admit a tx: fee checks, fee deduction, then the burn stage.
 
     Raises InsufficientFunds when the declared fee cannot cover gas plus tax
@@ -222,7 +222,7 @@ def run_ante_pipeline(bank, ts: treasury_mod.TreasuryState, cfg: AnteConfig,
     touched. Returns the coins burned as tax (empty when inert).
     """
     params = tax_params(ts, cfg)
-    tax_active = (not simulate) and height >= cfg.tax_power_upgrade_height
+    tax_active = height >= cfg.tax_power_upgrade_height
     expected_tax = filter_msgs_and_compute_tax(tx.msgs, params) if tax_active else {}
     required = coins_add(required_gas_fee(cfg, tx.gas_limit), expected_tax)
     if not coins_ge(tx.declared_fee, required):

@@ -77,10 +77,6 @@ def coins_ge(a: dict, b: dict) -> bool:
     return all(a.get(d, 0) >= amt for d, amt in b.items())
 
 
-def is_zero(cs: dict) -> bool:
-    return not normalize(dict(cs))
-
-
 def coins_from_config(entries) -> dict:
     """Parse ``[{"denom": ..., "amount": ...}, ...]`` (amounts int or str)."""
     out: dict = {}

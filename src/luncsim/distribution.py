@@ -5,8 +5,8 @@ the proposer earns (base + bonus * precommitPowerFraction) of the total, the
 community pool takes its configured cut, and the remainder is shared across
 active validators pro rata by consensus power. Every division floors;
 whatever dust the flooring leaves goes to the community pool, so the split
-conserves the input exactly. Validator earnings accrue in a module account
-until a delegator withdraws its pro-rata portion.
+conserves the input exactly. Validator earnings accrue in a module account.
+Epoch seigniorage goes through the same split with no proposer cut.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coins import coins_add, coins_as_strings, normalize
-from .errors import UnknownDelegation, UnknownProposer
+from .errors import UnknownProposer
 from .ledger import COMMUNITY_POOL, DISTRIBUTION, FEE_COLLECTOR, TREASURY
 from .staking import ACTIVE, tokens_to_consensus_power
 
@@ -72,43 +72,26 @@ def _accrue(ds: DistributionState, validator: str, coins: dict) -> None:
         )
 
 
-def allocate_block_fees(
-    bank,
-    ds: DistributionState,
-    staking_state,
-    fees: dict,
-    proposer: str,
-    precommit_power_fraction: Fraction,
-) -> dict:
-    """Split one block's fees out of the fee collector.
+def _split(bank, ds: DistributionState, staking_state, source: str, coins: dict,
+           proposer: str | None, proposer_frac: Fraction) -> dict:
+    """Split normalised `coins` out of module `source`.
 
-    Returns {"proposer": ..., "community": ..., "validators": {addr: ...}}
-    with integer coin sets that sum exactly to `fees`.
+    Per denom the proposer takes `proposer_frac`, the community pool its
+    tax, and the rest goes pro rata by consensus power to active validators;
+    every division floors and the dust joins the community cut.
     """
-    fees = normalize(dict(fees))
-    if not fees:
-        return {"proposer": {}, "community": {}, "validators": {}}
-    val = staking_state.validators.get(proposer)
-    if val is None or val.status != ACTIVE:
-        raise UnknownProposer(proposer)
-    if not TWO_THIRDS <= precommit_power_fraction <= 1:
-        raise ValueError("precommit power fraction must lie in [2/3, 1]")
-
     p = ds.params
-    proposer_frac = p.base_proposer_reward + p.bonus_proposer_reward * precommit_power_fraction
-    active = sorted(
-        (a, v) for a, v in staking_state.validators.items() if v.status == ACTIVE
-    )
     powers = {
         a: tokens_to_consensus_power(v.tokens, staking_state.params.power_reduction)
-        for a, v in active
+        for a, v in sorted(staking_state.validators.items())
+        if v.status == ACTIVE
     }
     total_power = sum(powers.values())
 
     proposer_cut: dict = {}
     community_cut: dict = {}
     validator_cuts: dict = {}
-    for denom, amount in sorted(fees.items()):
+    for denom, amount in sorted(coins.items()):
         to_proposer = _floor_mul(proposer_frac, amount)
         to_community = _floor_mul(p.community_tax, amount)
         rest = amount - to_proposer - to_community
@@ -133,18 +116,44 @@ def allocate_block_fees(
         proposer_cut,
         {
             d: sum(cs.get(d, 0) for cs in validator_cuts.values())
-            for d in fees
+            for d in coins
         },
     )
     if moved_to_dist:
-        bank.send_module_to_module(FEE_COLLECTOR, DISTRIBUTION, moved_to_dist)
+        bank.send_module_to_module(source, DISTRIBUTION, moved_to_dist)
     if community_cut:
-        bank.send_module_to_module(FEE_COLLECTOR, COMMUNITY_POOL, community_cut)
+        bank.send_module_to_module(source, COMMUNITY_POOL, community_cut)
     return {
         "proposer": proposer_cut,
         "community": community_cut,
         "validators": validator_cuts,
     }
+
+
+def allocate_block_fees(
+    bank,
+    ds: DistributionState,
+    staking_state,
+    fees: dict,
+    proposer: str,
+    precommit_power_fraction: Fraction,
+) -> dict:
+    """Split one block's fees out of the fee collector.
+
+    Returns {"proposer": ..., "community": ..., "validators": {addr: ...}}
+    with integer coin sets that sum exactly to `fees`.
+    """
+    fees = normalize(dict(fees))
+    if not fees:
+        return {"proposer": {}, "community": {}, "validators": {}}
+    val = staking_state.validators.get(proposer)
+    if val is None or val.status != ACTIVE:
+        raise UnknownProposer(proposer)
+    if not TWO_THIRDS <= precommit_power_fraction <= 1:
+        raise ValueError("precommit power fraction must lie in [2/3, 1]")
+    p = ds.params
+    proposer_frac = p.base_proposer_reward + p.bonus_proposer_reward * precommit_power_fraction
+    return _split(bank, ds, staking_state, FEE_COLLECTOR, fees, proposer, proposer_frac)
 
 
 def allocate_seigniorage(bank, ds: DistributionState, staking_state, coins: dict) -> None:
@@ -154,71 +163,7 @@ def allocate_seigniorage(bank, ds: DistributionState, staking_state, coins: dict
     validators, dust to the community pool. No proposer cut: this payout is
     not tied to a block proposal.
     """
-    coins = normalize(dict(coins))
-    if not coins:
-        return
-    p = ds.params
-    active = sorted(
-        (a, v) for a, v in staking_state.validators.items() if v.status == ACTIVE
-    )
-    powers = {
-        a: tokens_to_consensus_power(v.tokens, staking_state.params.power_reduction)
-        for a, v in active
-    }
-    total_power = sum(powers.values())
-
-    community_cut: dict = {}
-    validator_cuts: dict = {}
-    for denom, amount in sorted(coins.items()):
-        to_community = _floor_mul(p.community_tax, amount)
-        rest = amount - to_community
-        assigned = 0
-        if total_power > 0:
-            for addr, power in powers.items():
-                share = rest * power // total_power
-                if share:
-                    validator_cuts.setdefault(addr, {})[denom] = share
-                    assigned += share
-        community_cut[denom] = to_community + (rest - assigned)
-
-    for addr, cs in validator_cuts.items():
-        _accrue(ds, addr, cs)
-    moved = {
-        d: sum(cs.get(d, 0) for cs in validator_cuts.values())
-        for d in coins
-    }
-    moved = normalize(moved)
-    if moved:
-        bank.send_module_to_module(TREASURY, DISTRIBUTION, moved)
-    community_cut = normalize(community_cut)
-    if community_cut:
-        bank.send_module_to_module(TREASURY, COMMUNITY_POOL, community_cut)
-
-
-def withdraw_rewards(bank, ds: DistributionState, staking_state,
-                     delegator: str, validator: str) -> dict:
-    """Move the delegator's pro-rata share of a validator's accrual to it.
-
-    Shares are floored; the dust stays accrued. Returns the withdrawn coins.
-    """
-    shares = staking_state.delegations.get(delegator, {}).get(validator)
-    if shares is None:
-        raise UnknownDelegation(f"{delegator} has no delegation with {validator}")
-    accrued = ds.validator_accrued.get(validator, {})
-    val = staking_state.validators[validator]
-    if not accrued or val.tokens == 0:
-        return {}
-    out = {}
-    for denom, amount in sorted(accrued.items()):
-        cut = amount * shares // val.tokens
-        if cut:
-            out[denom] = cut
-    if not out:
-        return {}
-    remaining = {d: accrued[d] - out.get(d, 0) for d in accrued}
-    ds.validator_accrued[validator] = normalize(remaining)
-    bank.send_module_to_account(DISTRIBUTION, delegator, out)
-    return out
+    _split(bank, ds, staking_state, TREASURY, normalize(dict(coins)), None, Fraction(0))
 
 
 def community_pool_spend(bank, recipient: str, coins: dict) -> None:

@@ -37,6 +37,10 @@ class InsufficientShares(SimError):
     pass
 
 
+class InvalidCoin(SimError):
+    """A message amount is in the wrong denomination or is zero."""
+
+
 class MsgNotSupported(SimError):
     """Message kind disabled at the current height by a version gate."""
 
@@ -54,10 +58,6 @@ class MalformedProposal(SimError):
 
 
 class StillInVoting(SimError):
-    pass
-
-
-class NotPassed(SimError):
     pass
 
 

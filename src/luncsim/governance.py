@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import MalformedProposal, NotPassed, StillInVoting
+from .errors import MalformedProposal, StillInVoting
 from . import staking as staking_mod
 from . import treasury as treasury_mod
 
@@ -181,6 +181,8 @@ def submit_proposal(gov: GovernanceState, kind: str, height: int,
     if kind == PARAM_CHANGE:
         if not changes:
             raise MalformedProposal("param-change proposal carries no changes")
+        if not isinstance(changes, list):
+            raise MalformedProposal(f"changes must be a list, got {changes!r}")
         parsed = [_validate_change(c) for c in changes]
     elif changes:
         raise MalformedProposal("text proposal must not carry changes")
@@ -242,15 +244,6 @@ def tally(gov: GovernanceState, staking_state: staking_mod.StakingState,
     )
     prop.status = PASSED if passed else REJECTED
     return prop.status
-
-
-def require_passed(gov: GovernanceState, proposal_id: int) -> Proposal:
-    prop = gov.proposals.get(proposal_id)
-    if prop is None:
-        raise MalformedProposal(f"no proposal {proposal_id}")
-    if prop.status not in (PASSED, APPLIED):
-        raise NotPassed(f"proposal {proposal_id} is {prop.status}")
-    return prop
 
 
 def lone_tax_policy_warning(prop: Proposal) -> bool:

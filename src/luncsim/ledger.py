@@ -72,8 +72,7 @@ class Bank:
         self._bump(self.supply.genesis_totals, denom, amount)
 
     def genesis_credit_module(self, name: str, denom: str, amount: int) -> None:
-        self._require_module(name)
-        self._credit(self.modules[name], denom, amount)
+        self._credit(self._module(name), denom, amount)
         self._bump(self.supply.totals, denom, amount)
         self._bump(self.supply.genesis_totals, denom, amount)
 
@@ -86,12 +85,10 @@ class Bank:
         return dict(self.accounts.get(address, {}))
 
     def module_balance(self, name: str, denom: str) -> int:
-        self._require_module(name)
-        return self.modules[name].get(denom, 0)
+        return self._module(name).get(denom, 0)
 
     def module_balances(self, name: str) -> dict:
-        self._require_module(name)
-        return dict(self.modules[name])
+        return dict(self._module(name))
 
     def total_supply(self, denom: str) -> int:
         return self.supply.totals.get(denom, 0)
@@ -99,77 +96,33 @@ class Bank:
     # -- transfers ---------------------------------------------------------
 
     def transfer(self, sender: str, recipient: str, coins: dict) -> None:
-        coins = normalize(dict(coins))
-        if not coins:
-            return
-        src = self.accounts.get(sender, {})
-        if not coins_ge(src, coins):
-            raise InsufficientFunds(f"{sender} cannot cover {coins}")
-        self._debit(src, coins)
-        dst = self.accounts.setdefault(recipient, {})
-        for d, a in coins.items():
-            self._credit(dst, d, a)
+        self._move(self.accounts.get(sender, {}), sender, self.accounts, recipient, coins)
 
     def send_account_to_module(self, sender: str, module: str, coins: dict) -> None:
-        self._require_module(module)
-        coins = normalize(dict(coins))
-        if not coins:
-            return
-        src = self.accounts.get(sender, {})
-        if not coins_ge(src, coins):
-            raise InsufficientFunds(f"{sender} cannot cover {coins}")
-        self._debit(src, coins)
-        for d, a in coins.items():
-            self._credit(self.modules[module], d, a)
+        self._module(module)
+        self._move(self.accounts.get(sender, {}), sender, self.modules, module, coins)
 
     def send_module_to_account(self, module: str, recipient: str, coins: dict) -> None:
-        self._require_module(module)
-        coins = normalize(dict(coins))
-        if not coins:
-            return
-        src = self.modules[module]
-        if not coins_ge(src, coins):
-            raise InsufficientFunds(f"module {module} cannot cover {coins}")
-        self._debit(src, coins)
-        dst = self.accounts.setdefault(recipient, {})
-        for d, a in coins.items():
-            self._credit(dst, d, a)
+        self._move(self._module(module), f"module {module}", self.accounts, recipient, coins)
 
     def send_module_to_module(self, src_module: str, dst_module: str, coins: dict) -> None:
-        self._require_module(src_module)
-        self._require_module(dst_module)
-        coins = normalize(dict(coins))
-        if not coins:
-            return
-        src = self.modules[src_module]
-        if not coins_ge(src, coins):
-            raise InsufficientFunds(f"module {src_module} cannot cover {coins}")
-        self._debit(src, coins)
-        for d, a in coins.items():
-            self._credit(self.modules[dst_module], d, a)
+        src = self._module(src_module)
+        self._module(dst_module)
+        self._move(src, f"module {src_module}", self.modules, dst_module, coins)
 
     # -- supply changes ----------------------------------------------------
 
     def mint(self, module: str, coins: dict) -> None:
         """Create coins inside a module account, growing total supply."""
-        self._require_module(module)
-        coins = normalize(dict(coins))
-        for d, a in coins.items():
-            self._credit(self.modules[module], d, a)
+        store = self._module(module)
+        for d, a in normalize(dict(coins)).items():
+            self._credit(store, d, a)
             self._bump(self.supply.totals, d, a)
             self._bump(self.supply.cumulative_minted, d, a)
 
     def burn(self, module: str, coins: dict) -> None:
         """Destroy coins held by a module account, shrinking total supply."""
-        self._require_module(module)
-        coins = normalize(dict(coins))
-        if not coins:
-            return
-        src = self.modules[module]
-        if not coins_ge(src, coins):
-            raise InsufficientFunds(f"module {module} cannot burn {coins}")
-        self._debit(src, coins)
-        for d, a in coins.items():
+        for d, a in self._take(self._module(module), f"module {module}", coins).items():
             self._bump(self.supply.totals, d, -a)
             self._bump(self.supply.cumulative_burned, d, a)
 
@@ -214,9 +167,27 @@ class Bank:
 
     # -- internals ----------------------------------------------------------
 
-    def _require_module(self, name: str) -> None:
-        if name not in self.modules:
+    def _module(self, name: str) -> dict:
+        store = self.modules.get(name)
+        if store is None:
             raise UnknownModule(f"module account {name!r} is not registered")
+        return store
+
+    def _take(self, src: dict, owner: str, coins: dict) -> dict:
+        """Normalise `coins` and debit them from `src`, or raise untouched."""
+        coins = normalize(dict(coins))
+        if not coins_ge(src, coins):
+            raise InsufficientFunds(f"{owner} cannot cover {coins}")
+        self._debit(src, coins)
+        return coins
+
+    def _move(self, src: dict, owner: str, table: dict, recipient: str, coins: dict) -> None:
+        """Debit `src` and credit `table[recipient]`; empty coins are a no-op."""
+        coins = self._take(src, owner, coins)
+        if coins:
+            dst = table.setdefault(recipient, {})
+            for d, a in coins.items():
+                self._credit(dst, d, a)
 
     @staticmethod
     def _credit(store: dict, denom: str, amount: int) -> None:

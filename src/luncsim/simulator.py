@@ -34,10 +34,10 @@ from . import governance as gov_mod
 from . import staking as staking_mod
 from . import treasury as treasury_mod
 from .ante import Msg, MsgKind, Tx
-from .blocktime import block_timestamp
 from .coins import normalize
 from .errors import (
     ChainHalted,
+    MalformedProposal,
     ParseError,
     SimError,
     UnknownValidator,
@@ -57,20 +57,10 @@ HALTED = "halted"
 
 
 @dataclass
-class BlockContext:
-    height: int
-    timestamp_seconds: int
-    proposer: str | None
-    precommit_power_fraction: Fraction
-
-
-@dataclass
 class ConsensusOutcome:
     status: str
     height: int
-    compatible_power_fraction: Fraction
-    block: BlockContext | None = None
-    tx_results: list = field(default_factory=list)
+    proposer: str | None = None
 
 
 @dataclass
@@ -86,39 +76,11 @@ class RunResult:
     tally_outcomes: dict
     warnings: list
     epoch_events: list
-    trajectory: list
     tx_log: dict = field(default_factory=dict)
 
     @property
     def final_hash(self) -> str:
         return state_hash(self.final_state)
-
-
-def version_behavior(version: str, msg: Msg, height: int, state: ChainState) -> str | None:
-    """Gate verdict for one message under one software version.
-
-    Returns None to accept or the rejection kind. Only staking messages are
-    version-sensitive.
-    """
-    st = state.staking
-    if msg.kind == MsgKind.DELEGATE:
-        if staking_mod.delegate_gate_blocks(st.gates, height, version):
-            return "MsgNotSupported"
-        if version != staking_mod.V20 and staking_mod.power_cap_window_active(st.gates, height):
-            val = st.validators.get(msg.payload["validator"])
-            if val is not None and val.status == staking_mod.ACTIVE:
-                ok = staking_mod.check_power_cap(
-                    staking_mod.tokens_to_consensus_power(val.tokens, st.params.power_reduction),
-                    staking_mod.total_voting_power(st),
-                    msg.payload["amount"].amount,
-                    st.params,
-                )
-                if not ok:
-                    return "PowerCapExceeded"
-    elif msg.kind == MsgKind.CREATE_VALIDATOR:
-        if staking_mod.create_validator_gate_blocks(st.gates, height, version):
-            return "MsgNotSupported"
-    return None
 
 
 def execute_msg(state: ChainState, msg: Msg, height: int, version: str) -> None:
@@ -161,6 +123,8 @@ def execute_msg(state: ChainState, msg: Msg, height: int, version: str) -> None:
         gov_mod.cast_vote(state.governance, p["voter"], p["proposal_id"], p["option"])
     elif msg.kind == MsgKind.SUBMIT_PROPOSAL:
         prop = p["proposal"]
+        if not isinstance(prop, dict):
+            raise MalformedProposal(f"proposal must be a mapping, got {prop!r}")
         gov_mod.submit_proposal(state.governance, prop.get("kind", TEXT), height,
                                 title=prop.get("title", ""),
                                 changes=prop.get("changes"))
@@ -204,8 +168,7 @@ _ROLLED_BACK = "rolled-back"
 class Chain:
     """Owns a ChainState and replays a scenario against it."""
 
-    def __init__(self, state: ChainState, scenario: Scenario,
-                 collect_rows: bool = True, collect_trajectory: bool = False):
+    def __init__(self, state: ChainState, scenario: Scenario):
         self.state = state
         self.scenario = scenario
         self.events = scenario.events
@@ -217,13 +180,13 @@ class Chain:
         self.epoch_events: list = []
         self.tx_log: dict = {}
         self.rows: list = []
-        self.trajectory: list = []
-        self.collect_rows = collect_rows
-        self.collect_trajectory = collect_trajectory
         self.denoms = sorted(state.bank.supply.totals)
-        self._snap_enabled = any(e.action == "rollback-to" for e in self.events)
+        # Only a rollback target is ever restored, so only those heights,
+        # the start included, keep a snapshot.
+        self._snap_heights = {e.payload["target_height"] for e in self.events
+                              if e.action == "rollback-to"}
         self._snapshots: dict = {}
-        if self._snap_enabled:
+        if state.height in self._snap_heights:
             self._snapshots[state.height] = state.clone()
 
     # -- event plumbing ----------------------------------------------------
@@ -385,7 +348,7 @@ class Chain:
         for addr, power in powers.items():
             pr[addr] = pr.get(addr, 0) + power
             total += power
-        proposer = min(sorted(powers), key=lambda a: (-pr[a], a))
+        proposer = min(powers, key=lambda a: (-pr[a], a))
         pr[proposer] -= total
         return proposer
 
@@ -443,8 +406,7 @@ class Chain:
                         "halt at height %d: best agreement class holds %s of power",
                         height, compatible,
                     )
-                    return ConsensusOutcome(status=HALTED, height=height,
-                                            compatible_power_fraction=compatible)
+                    return ConsensusOutcome(status=HALTED, height=height)
                 self.state = evaluated[best_sig][1]
                 tx_results = list(best_sig[0])
             else:
@@ -495,24 +457,13 @@ class Chain:
             state.staking.validators[validator].software_version = version
         self._pending_upgrades = []
 
-        if self._snap_enabled:
+        if height in self._snap_heights:
             self._snapshots[height] = state.clone()
         self._check_invariants(height, activity)
-        if self.collect_rows:
-            self.rows.append(self._report_row(height))
-        if self.collect_trajectory:
-            self.trajectory.append((height, state_hash(state)))
-        block = BlockContext(
-            height=height,
-            timestamp_seconds=block_timestamp(state.genesis_time, state.genesis_height, height),
-            proposer=proposer,
-            precommit_power_fraction=precommit,
-        )
+        self.rows.append(self._report_row(height))
         if tx_results:
-            self.tx_log[height] = list(tx_results)
-        return ConsensusOutcome(status=COMMITTED, height=height,
-                                compatible_power_fraction=compatible,
-                                block=block, tx_results=tx_results)
+            self.tx_log[height] = tx_results
+        return ConsensusOutcome(status=COMMITTED, height=height, proposer=proposer)
 
     def _schedule_changes(self, prop, height: int) -> None:
         state = self.state
@@ -595,8 +546,7 @@ class Chain:
                 continue
             # halt episode at `height`
             self.halt_heights.append(height)
-            if self.collect_rows:
-                self.rows.append(self._report_row(height))
+            self.rows.append(self._report_row(height))
             if self.scenario.strict_halt:
                 terminal = True
                 break
@@ -626,14 +576,10 @@ class Chain:
             tally_outcomes=dict(self.tally_outcomes),
             warnings=list(self.state.warnings),
             epoch_events=list(self.epoch_events),
-            trajectory=self.trajectory,
             tx_log=dict(self.tx_log),
         )
 
 
-def run_scenario(state: ChainState, scenario: Scenario,
-                 collect_rows: bool = True,
-                 collect_trajectory: bool = False) -> RunResult:
+def run_scenario(state: ChainState, scenario: Scenario) -> RunResult:
     """Replay a scenario from a genesis state; the input state is not shared."""
-    return Chain(state, scenario, collect_rows=collect_rows,
-                 collect_trajectory=collect_trajectory).run()
+    return Chain(state, scenario).run()

@@ -27,6 +27,7 @@ from .coins import Coin, coins_as_strings
 from .errors import (
     DuplicateValidator,
     InsufficientShares,
+    InvalidCoin,
     MsgNotSupported,
     PowerCapExceeded,
     UnknownDelegation,
@@ -39,7 +40,6 @@ V21 = "v21"
 
 ACTIVE = "active"
 INACTIVE = "inactive"
-JAILED = "jailed"
 
 # Mainnet gate constants: patch activation, delegate re-enable 68 days later
 # at 8.571 blocks/min, create-validator re-enable 8,066,486 + 839,272.
@@ -279,7 +279,7 @@ def delegate(
     if delegate_gate_blocks(st.gates, height, acting_version):
         raise MsgNotSupported(f"delegate disabled at height {height}")
     if amount.denom != st.params.bond_denom:
-        raise ValueError(f"delegation must use bond denom {st.params.bond_denom}")
+        raise InvalidCoin(f"delegation must use bond denom {st.params.bond_denom}")
     val = st.validators.get(validator)
     if val is None:
         raise UnknownValidator(validator)
@@ -330,7 +330,7 @@ def undelegate(
 ) -> UnbondingEntry:
     """Start unbonding; coins mature back to the delegator after the period."""
     if amount.denom != st.params.bond_denom:
-        raise ValueError(f"undelegation must use bond denom {st.params.bond_denom}")
+        raise InvalidCoin(f"undelegation must use bond denom {st.params.bond_denom}")
     val = st.validators.get(validator)
     if val is None:
         raise UnknownValidator(validator)
@@ -341,7 +341,7 @@ def undelegate(
     if amount.amount > shares:
         raise InsufficientShares(f"{delegator} holds {shares}, tried to unbond {amount.amount}")
     if amount.amount == 0:
-        raise ValueError("cannot unbond zero")
+        raise InvalidCoin("cannot unbond zero")
     remaining = shares - amount.amount
     if remaining:
         per_val[validator] = remaining

@@ -57,6 +57,8 @@ class PolicyConstraints:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "PolicyConstraints":
+        if not isinstance(cfg, dict):
+            raise MalformedProposal(f"policy constraints must be a mapping, got {cfg!r}")
         try:
             cap_cfg = cfg.get("cap", {"denom": "usdr", "amount": 0})
             return cls(
@@ -65,22 +67,18 @@ class PolicyConstraints:
                 cap=Coin(cap_cfg["denom"], int(cap_cfg["amount"])),
                 change_rate_max=Fraction(str(cfg.get("change_rate_max", 0))),
             )
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
             raise MalformedProposal(f"bad policy constraints: {exc}") from exc
 
 
-def _default_tax_policy() -> PolicyConstraints:
-    return PolicyConstraints(Fraction(0), Fraction(1), Coin("usdr", 0), Fraction(1))
-
-
-def _default_reward_policy() -> PolicyConstraints:
+def _default_policy() -> PolicyConstraints:
     return PolicyConstraints(Fraction(0), Fraction(1), Coin("usdr", 0), Fraction(1))
 
 
 @dataclass
 class TreasuryState:
-    tax_policy: PolicyConstraints = field(default_factory=_default_tax_policy)
-    reward_policy: PolicyConstraints = field(default_factory=_default_reward_policy)
+    tax_policy: PolicyConstraints = field(default_factory=_default_policy)
+    reward_policy: PolicyConstraints = field(default_factory=_default_policy)
     tax_rate: Fraction = Fraction(0)
     reward_weight: Fraction = Fraction(1)
     epoch_length_blocks: int = DEFAULT_EPOCH_LENGTH_BLOCKS
@@ -105,14 +103,6 @@ class TreasuryState:
                 for pid, key, pol in self.pending_policies
             ],
         }
-
-
-def get_tax_rate(ts: TreasuryState) -> Fraction:
-    return ts.tax_rate
-
-
-def get_tax_cap(ts: TreasuryState, denom: str) -> int:
-    return ts.tax_caps.get(denom, ts.default_tax_cap)
 
 
 def set_tax_rate(ts: TreasuryState, requested: Fraction) -> Fraction:

@@ -53,7 +53,7 @@ from luncsim.staking import (
     delegate_gate_blocks,
     mainnet_gates,
 )
-from luncsim.treasury import TreasuryState, epoch_transition, get_tax_rate
+from luncsim.treasury import TreasuryState, epoch_transition
 from fuzztools import build_fuzz_configs
 
 M = 1_000_000
@@ -496,10 +496,10 @@ def test_criterion_07_governance_latency(verdict):
     while chain.state.height < 99:
         chain.step()
     assert live_tax() == {}                          # one block short
-    assert get_tax_rate(chain.state.treasury) == 0
+    assert chain.state.treasury.tax_rate == 0
 
     chain.step()                                     # height 100, epoch turns
-    assert get_tax_rate(chain.state.treasury) == Fraction(15, 1000)
+    assert chain.state.treasury.tax_rate == Fraction(15, 1000)
     assert live_tax() == {"uluna": 15_000}
     verdict("criterion 07 PASS: tax change idles from tally at 25 until epoch "
             "boundary 100; distribution change live one block after tally")
@@ -513,10 +513,8 @@ def test_criterion_08_fuzz_invariants(verdict):
     blocks = 0
     for seed in range(100):
         genesis_cfg, scenario_cfg = build_fuzz_configs(seed)
-        first = run_scenario(build_state(genesis_cfg),
-                             parse_scenario(scenario_cfg), collect_rows=False)
-        second = run_scenario(build_state(genesis_cfg),
-                              parse_scenario(scenario_cfg), collect_rows=False)
+        first = run_scenario(build_state(genesis_cfg), parse_scenario(scenario_cfg))
+        second = run_scenario(build_state(genesis_cfg), parse_scenario(scenario_cfg))
         verify_invariants(first.final_state)
         assert first.final_state.halted is False, seed
         assert first.final_state.height == scenario_cfg["end_height"]

@@ -144,18 +144,6 @@ def test_pipeline_skips_burn_before_activation_height():
     assert run_ante_pipeline(bank, ts, cfg, tx2, height=1_000) == {"uluna": 12_000}
 
 
-def test_pipeline_simulate_skips_the_burn_stage():
-    # simulation runs against a throwaway copy upstream, so the fee still
-    # moves, but the burn decorator short-circuits
-    bank, ts, cfg = _pipeline_setup()
-    tx = Tx(msgs=[send_msg(1_000_000)], fee_payer="alice",
-            declared_fee={"uluna": 13_000}, gas_limit=100_000)
-    assert run_ante_pipeline(bank, ts, cfg, tx, height=50, simulate=True) == {}
-    assert bank.module_balance(FEE_COLLECTOR, "uluna") == 13_000
-    assert bank.supply.cumulative_burned == {}
-    assert ts.epoch_burned == {}
-
-
 def test_pipeline_overdeclared_fee_is_kept_by_collector():
     bank, ts, cfg = _pipeline_setup()
     tx = Tx(msgs=[send_msg(1_000_000)], fee_payer="alice",

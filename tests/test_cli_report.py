@@ -1,6 +1,9 @@
 import csv
 import json
 
+import pytest
+
+from luncsim import errors
 from luncsim.cli import main
 from luncsim.genesis import build_state
 from luncsim.report import build_summary, csv_header, write_reports
@@ -146,3 +149,53 @@ def test_cli_estimate_fee(capsys):
 def test_cli_log_env_accepted(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("LUNCSIM_LOG", "debug")
     assert main(["replay", "--list"]) == 0
+
+
+MALFORMED_MSGS = {
+    "delegate-non-bond-denom": (
+        {"kind": "delegate", "delegator": "alice", "validator": "val1",
+         "amount": {"denom": "uusd", "amount": "5"}}, "InvalidCoin"),
+    "undelegate-zero": (
+        {"kind": "undelegate", "delegator": "val1", "validator": "val1",
+         "amount": {"denom": "uluna", "amount": "0"}}, "InvalidCoin"),
+    "proposal-not-a-mapping": (
+        {"kind": "submit-proposal", "proposer": "alice",
+         "proposal": "raise the tax"}, "MalformedProposal"),
+    "treasury-value-not-a-mapping": (
+        {"kind": "submit-proposal", "proposer": "alice",
+         "proposal": {"kind": "param-change", "changes": [
+             {"subspace": "treasury", "key": "TaxPolicy", "value": "0.5"}]}},
+        "MalformedProposal"),
+    "treasury-rate-divides-by-zero": (
+        {"kind": "submit-proposal", "proposer": "alice",
+         "proposal": {"kind": "param-change", "changes": [
+             {"subspace": "treasury", "key": "TaxPolicy",
+              "value": {"rate_min": "0", "rate_max": "1/0"}}]}},
+        "MalformedProposal"),
+    "changes-not-a-list": (
+        {"kind": "submit-proposal", "proposer": "alice",
+         "proposal": {"kind": "param-change", "changes": 5}},
+        "MalformedProposal"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MSGS))
+def test_malformed_user_tx_fails_as_a_tx(case, tmp_path):
+    msg, error = MALFORMED_MSGS[case]
+    scn = {"name": case, "end_height": 5, "events": [
+        {"at_height": 3, "action": "submit-tx", "tx": {
+            "fee_payer": "alice",
+            "declared_fee": [{"denom": "uluna", "amount": "100"}],
+            "msgs": [msg],
+        }},
+    ]}
+    g = _write(tmp_path, "g.json", GENESIS)
+    s = _write(tmp_path, "s.json", scn)
+    out = tmp_path / "out"
+    assert main(["run", "--genesis", g, "--scenario", s, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["tx_results"] == {"3": [["failed", error]]}
+    assert issubclass(getattr(errors, error), errors.SimError)
+    # the tx failed after admission, so its fee stays paid
+    result = run_scenario(build_state(GENESIS), parse_scenario(scn))
+    assert result.final_state.bank.balance("alice", "uluna") == 50_000 - 100

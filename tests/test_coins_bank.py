@@ -11,7 +11,6 @@ from luncsim.coins import (
     coins_from_config,
     coins_ge,
     coins_sub,
-    is_zero,
     normalize,
 )
 from luncsim.errors import (
@@ -39,8 +38,6 @@ def test_coin_set_merges_duplicates():
 
 def test_normalize_drops_zero_entries():
     assert normalize({"uluna": 0, "uusd": 9}) == {"uusd": 9}
-    assert is_zero({})
-    assert is_zero({"uluna": 0})
 
 
 def test_coins_sub_underflow():

@@ -9,9 +9,8 @@ from luncsim.distribution import (
     allocate_block_fees,
     allocate_seigniorage,
     community_pool_spend,
-    withdraw_rewards,
 )
-from luncsim.errors import UnknownDelegation, UnknownProposer
+from luncsim.errors import UnknownProposer
 from luncsim.ledger import COMMUNITY_POOL, DISTRIBUTION, FEE_COLLECTOR, TREASURY
 
 from helpers import fresh_bank, staking_fixture
@@ -96,20 +95,6 @@ def test_seigniorage_has_no_proposer_cut():
     accrued = {v: a.get("uluna", 0) for v, a in ds.validator_accrued.items()}
     assert accrued == {"val1": 450, "val2": 300, "val3": 150}
     assert bank.module_balance(TREASURY, "uluna") == 0
-
-
-def test_withdraw_rewards_pro_rata_with_floor():
-    bank, st, ds = _setup()
-    _collect(bank, {"uluna": 10_000})
-    allocate_block_fees(bank, ds, st, {"uluna": 10_000}, "val1", Fraction(1))
-    got = withdraw_rewards(bank, ds, st, "val2", "val2")
-    # val2 self-delegates its full stake, so it sweeps its accrual
-    assert got == {"uluna": 1_166}
-    assert bank.balance("val2", "uluna") == 1_166
-    # a second withdraw finds nothing new
-    assert withdraw_rewards(bank, ds, st, "val2", "val2") == {}
-    with pytest.raises(UnknownDelegation):
-        withdraw_rewards(bank, ds, st, "stranger", "val2")
 
 
 def test_community_pool_spend_and_burn():

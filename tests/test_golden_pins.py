@@ -36,7 +36,10 @@ def observe(case: str, out_dir: Path) -> dict:
     genesis_cfg, scenario_cfg = _configs(case)
     result = run_scenario(build_state(genesis_cfg), parse_scenario(scenario_cfg))
     write_reports(str(out_dir), result)
-    digest = lambda name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+
+    def digest(name):
+        return hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+
     return {
         "final_hash": result.final_hash,
         "blocks_csv_sha256": digest(CSV_NAME),

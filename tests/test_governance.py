@@ -2,7 +2,6 @@ import pytest
 
 from luncsim.errors import (
     MalformedProposal,
-    NotPassed,
     StillInVoting,
     UnknownProposer,
 )
@@ -17,7 +16,6 @@ from luncsim.governance import (
     GovParams,
     cast_vote,
     lone_tax_policy_warning,
-    require_passed,
     submit_proposal,
     tally,
 )
@@ -53,7 +51,6 @@ def test_observed_tally_passes():
     cast_vote(gov, "yes-whale", 1, YES)
     cast_vote(gov, "no-val", 1, NO)
     assert tally(gov, st, 1, height=100) == "passed"
-    assert require_passed(gov, 1).proposal_id == 1
 
 
 def test_quorum_boundary_is_inclusive():
@@ -146,8 +143,6 @@ def test_tally_guards():
         tally(gov, st, 99, height=200)
     cast_vote(gov, "a", 1, NO)
     assert tally(gov, st, 1, height=100) == "rejected"
-    with pytest.raises(NotPassed):
-        require_passed(gov, 1)
 
 
 def test_nonvoter_without_stake_is_weightless():

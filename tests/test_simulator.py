@@ -61,9 +61,8 @@ def _delegate_tx(height, delegator, validator, amount):
     }}
 
 
-def _run(genesis_cfg, scenario_cfg, **kwargs):
-    return run_scenario(build_state(genesis_cfg),
-                        parse_scenario(scenario_cfg), **kwargs)
+def _run(genesis_cfg, scenario_cfg):
+    return run_scenario(build_state(genesis_cfg), parse_scenario(scenario_cfg))
 
 
 def test_submit_tx_applies_at_its_height():
@@ -79,10 +78,18 @@ def test_identical_runs_hash_identically():
                  accounts=[("alice", 10_000)])
     s = {"name": "t", "end_height": 50,
          "events": [_send_tx(3), _send_tx(17, amount=999), _send_tx(40)]}
-    a = _run(g, s, collect_trajectory=True)
-    b = _run(g, s, collect_trajectory=True)
-    assert a.final_hash == b.final_hash
-    assert a.trajectory == b.trajectory
+    def block_hashes():
+        chain = Chain(build_state(g), parse_scenario(s))
+        hashes = []
+        while chain.state.height < s["end_height"]:
+            chain.step()
+            hashes.append(state_hash(chain.state))
+        return hashes
+
+    a, b = block_hashes(), block_hashes()
+    assert len(a) == 50 and len(set(a)) == 50
+    assert a == b
+    assert a[-1] == _run(g, s).final_hash
 
 
 def test_mixed_versions_halt_below_two_thirds():
@@ -261,6 +268,19 @@ def test_rollback_restores_snapshot_and_clears_mempool():
     assert res.final_hash == plain_hash_at_40
 
 
+def test_snapshots_kept_only_at_rollback_targets():
+    g = _genesis([("val1", 10, "v21")], accounts=[("alice", 10_000)])
+    s = {"name": "t", "end_height": 3_000, "events": [
+        _send_tx(12),
+        {"at_height": 20, "action": "rollback-to", "target_height": 10},
+        {"at_height": 2_500, "action": "rollback-to", "target_height": 2_000},
+    ]}
+    chain = Chain(build_state(g), parse_scenario(s))
+    res = chain.run()
+    assert res.final_state.height == 3_000
+    assert set(chain._snapshots) <= {0, 10, 2_000}      # distinct targets + start
+
+
 def test_rollback_to_unsnapshotted_height_fails():
     from luncsim.errors import ParseError
     g = _genesis([("val1", 10, "v21")])
@@ -278,7 +298,7 @@ def test_proposer_rotation_is_power_weighted():
     seen = []
     for _ in range(6):
         outcome = chain.step()
-        seen.append(outcome.block.proposer)
+        seen.append(outcome.proposer)
     assert seen.count("heavy") == 4
     assert seen.count("light") == 2
     # no two consecutive blocks go to the light validator

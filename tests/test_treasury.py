@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from luncsim.ante import AnteConfig, tax_params
 from luncsim.coins import Coin
 from luncsim.distribution import DistributionParams, DistributionState
 from luncsim.errors import MalformedProposal
@@ -11,7 +12,6 @@ from luncsim.treasury import (
     TreasuryState,
     apply_pending_policies,
     epoch_transition,
-    get_tax_cap,
     queue_policy_update,
     record_epoch_burn,
     set_reward_weight,
@@ -76,8 +76,9 @@ def test_queue_rejects_unknown_key():
 
 def test_tax_cap_lookup_falls_back_to_default():
     ts = TreasuryState(tax_caps={"uusd": 42}, default_tax_cap=99)
-    assert get_tax_cap(ts, "uusd") == 42
-    assert get_tax_cap(ts, "uluna") == 99
+    params = tax_params(ts, AnteConfig())
+    assert params.cap_for("uusd") == 42
+    assert params.cap_for("uluna") == 99
 
 
 def test_record_epoch_burn_accumulates():
