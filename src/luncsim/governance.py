@@ -115,6 +115,8 @@ class GovernanceState:
     votes: dict = field(default_factory=dict)  # proposal id -> {voter: option}
     tally_records: dict = field(default_factory=dict)  # proposal id -> [VoteRecord]
     next_proposal_id: int = 1
+    # the owning ChainState's undo journal (see state.Journal)
+    journal: object = field(default=None, repr=False, compare=False)
 
     def canonical(self) -> dict:
         return {
@@ -193,6 +195,10 @@ def submit_proposal(gov: GovernanceState, kind: str, height: int,
         changes=parsed,
         voting_end_height=height + gov.params.voting_period_blocks,
     )
+    if gov.journal is not None:
+        gov.journal.save(vars(gov), "next_proposal_id")
+        gov.journal.save(gov.proposals, prop.proposal_id)
+        gov.journal.save(gov.votes, prop.proposal_id)
     gov.next_proposal_id += 1
     gov.proposals[prop.proposal_id] = prop
     gov.votes[prop.proposal_id] = {}
@@ -207,7 +213,10 @@ def cast_vote(gov: GovernanceState, voter: str, proposal_id: int, option: str) -
         raise MalformedProposal(f"no proposal {proposal_id}")
     if prop.status != VOTING:
         raise MalformedProposal(f"proposal {proposal_id} is not in voting")
-    gov.votes[proposal_id][voter] = option  # a re-vote replaces the old one
+    votes = gov.votes[proposal_id]
+    if gov.journal is not None:
+        gov.journal.save(votes, voter)
+    votes[voter] = option  # a re-vote replaces the old one
 
 
 def tally(gov: GovernanceState, staking_state: staking_mod.StakingState,

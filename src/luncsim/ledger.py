@@ -63,6 +63,8 @@ class Bank:
         self.accounts: dict = {}
         self.modules: dict = {name: {} for name in module_names}
         self.supply = SupplyLedger()
+        # the owning ChainState's undo journal; None for a standalone bank
+        self.journal = None
 
     # -- genesis seeding ---------------------------------------------------
 
@@ -96,33 +98,42 @@ class Bank:
     # -- transfers ---------------------------------------------------------
 
     def transfer(self, sender: str, recipient: str, coins: dict) -> None:
-        self._move(self.accounts.get(sender, {}), sender, self.accounts, recipient, coins)
+        self._move(self.accounts, sender, self.accounts, recipient, coins)
 
     def send_account_to_module(self, sender: str, module: str, coins: dict) -> None:
         self._module(module)
-        self._move(self.accounts.get(sender, {}), sender, self.modules, module, coins)
+        self._move(self.accounts, sender, self.modules, module, coins)
 
     def send_module_to_account(self, module: str, recipient: str, coins: dict) -> None:
-        self._move(self._module(module), f"module {module}", self.accounts, recipient, coins)
+        self._module(module)
+        self._move(self.modules, module, self.accounts, recipient, coins)
 
     def send_module_to_module(self, src_module: str, dst_module: str, coins: dict) -> None:
-        src = self._module(src_module)
+        self._module(src_module)
         self._module(dst_module)
-        self._move(src, f"module {src_module}", self.modules, dst_module, coins)
+        self._move(self.modules, src_module, self.modules, dst_module, coins)
 
     # -- supply changes ----------------------------------------------------
 
     def mint(self, module: str, coins: dict) -> None:
         """Create coins inside a module account, growing total supply."""
         store = self._module(module)
-        for d, a in normalize(dict(coins)).items():
+        coins = normalize(dict(coins))
+        if coins:
+            self._save(self.modules, module)
+            self._save_supply("totals", "cumulative_minted")
+        for d, a in coins.items():
             self._credit(store, d, a)
             self._bump(self.supply.totals, d, a)
             self._bump(self.supply.cumulative_minted, d, a)
 
     def burn(self, module: str, coins: dict) -> None:
         """Destroy coins held by a module account, shrinking total supply."""
-        for d, a in self._take(self._module(module), f"module {module}", coins).items():
+        self._module(module)
+        coins = self._take(self.modules, module, coins)
+        if coins:
+            self._save_supply("totals", "cumulative_burned")
+        for d, a in coins.items():
             self._bump(self.supply.totals, d, -a)
             self._bump(self.supply.cumulative_burned, d, a)
 
@@ -173,21 +184,34 @@ class Bank:
             raise UnknownModule(f"module account {name!r} is not registered")
         return store
 
-    def _take(self, src: dict, owner: str, coins: dict) -> dict:
-        """Normalise `coins` and debit them from `src`, or raise untouched."""
+    def _save(self, table: dict, key) -> None:
+        if self.journal is not None:
+            self.journal.save(table, key)
+
+    def _save_supply(self, *names: str) -> None:
+        for name in names:
+            self._save(vars(self.supply), name)
+
+    def _take(self, table: dict, owner: str, coins: dict) -> dict:
+        """Normalise `coins` and debit them from `table[owner]`, or raise untouched."""
         coins = normalize(dict(coins))
+        src = table.get(owner, {})
         if not coins_ge(src, coins):
-            raise InsufficientFunds(f"{owner} cannot cover {coins}")
-        self._debit(src, coins)
+            who = owner if table is self.accounts else f"module {owner}"
+            raise InsufficientFunds(f"{who} cannot cover {coins}")
+        if coins:
+            self._save(table, owner)
+            self._debit(src, coins)
         return coins
 
-    def _move(self, src: dict, owner: str, table: dict, recipient: str, coins: dict) -> None:
-        """Debit `src` and credit `table[recipient]`; empty coins are a no-op."""
+    def _move(self, src: dict, owner: str, dst: dict, recipient: str, coins: dict) -> None:
+        """Debit `src[owner]` and credit `dst[recipient]`; empty coins are a no-op."""
         coins = self._take(src, owner, coins)
         if coins:
-            dst = table.setdefault(recipient, {})
+            self._save(dst, recipient)
+            store = dst.setdefault(recipient, {})
             for d, a in coins.items():
-                self._credit(dst, d, a)
+                self._credit(store, d, a)
 
     @staticmethod
     def _credit(store: dict, denom: str, amount: int) -> None:
@@ -211,15 +235,3 @@ class Bank:
             store[denom] = new
         else:
             store.pop(denom, None)
-
-    def __deepcopy__(self, memo):
-        clone = Bank.__new__(Bank)
-        clone.accounts = {a: dict(b) for a, b in self.accounts.items()}
-        clone.modules = {m: dict(b) for m, b in self.modules.items()}
-        clone.supply = SupplyLedger(
-            totals=dict(self.supply.totals),
-            genesis_totals=dict(self.supply.genesis_totals),
-            cumulative_minted=dict(self.supply.cumulative_minted),
-            cumulative_burned=dict(self.supply.cumulative_burned),
-        )
-        return clone

@@ -77,6 +77,14 @@ def _coin(raw, label: str) -> Coin:
         raise ParseError(f"bad coin for {label}: {raw!r}") from exc
 
 
+def _string(raw: dict, key: str, default: str | None = None) -> str:
+    """raw[key], an address or a version; anything but a string would abort the run."""
+    value = raw[key] if default is None else raw.get(key, default)
+    if not isinstance(value, str):
+        raise ParseError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 def parse_msg(raw: dict) -> Msg:
     try:
         kind = MsgKind(raw["kind"])
@@ -85,56 +93,57 @@ def parse_msg(raw: dict) -> Msg:
     try:
         if kind == MsgKind.SEND:
             payload = {
-                "sender": raw["sender"],
-                "recipient": raw["recipient"],
+                "sender": _string(raw, "sender"),
+                "recipient": _string(raw, "recipient"),
                 "coins": coins_from_config(raw["coins"]),
             }
         elif kind == MsgKind.MULTI_SEND:
             payload = {
-                "sender": raw["sender"],
+                "sender": _string(raw, "sender"),
                 "outputs": [
-                    {"recipient": o["recipient"], "coins": coins_from_config(o["coins"])}
+                    {"recipient": _string(o, "recipient"),
+                     "coins": coins_from_config(o["coins"])}
                     for o in raw["outputs"]
                 ],
             }
         elif kind == MsgKind.SWAP_SEND:
             payload = {
-                "sender": raw["sender"],
-                "recipient": raw["recipient"],
+                "sender": _string(raw, "sender"),
+                "recipient": _string(raw, "recipient"),
                 "offer": _coin(raw["offer"], "swap-send offer"),
                 "ask_denom": raw["ask_denom"],
             }
         elif kind == MsgKind.INSTANTIATE_CONTRACT:
             payload = {
-                "sender": raw["sender"],
+                "sender": _string(raw, "sender"),
                 "funds": coins_from_config(raw.get("funds", [])),
                 "label": raw.get("label", ""),
             }
         elif kind == MsgKind.EXECUTE_CONTRACT:
             payload = {
-                "sender": raw["sender"],
-                "contract": raw["contract"],
+                "sender": _string(raw, "sender"),
+                "contract": _string(raw, "contract"),
                 "funds": coins_from_config(raw.get("funds", [])),
             }
         elif kind == MsgKind.EXEC:
             payload = {
-                "sender": raw["sender"],
+                "sender": _string(raw, "sender"),
                 "msgs": [parse_msg(m) for m in raw["msgs"]],
             }
         elif kind == MsgKind.DELEGATE or kind == MsgKind.UNDELEGATE:
             payload = {
-                "delegator": raw["delegator"],
-                "validator": raw["validator"],
+                "delegator": _string(raw, "delegator"),
+                "validator": _string(raw, "validator"),
                 "amount": _coin(raw["amount"], kind.value),
             }
         elif kind == MsgKind.CREATE_VALIDATOR:
             payload = {
-                "operator": raw["operator"],
-                "version": raw.get("version", "v21"),
+                "operator": _string(raw, "operator"),
+                "version": _string(raw, "version", "v21"),
             }
         elif kind == MsgKind.VOTE:
             payload = {
-                "voter": raw["voter"],
+                "voter": _string(raw, "voter"),
                 "proposal_id": int(raw["proposal_id"]),
                 "option": raw["option"],
             }
@@ -153,7 +162,7 @@ def parse_tx(raw: dict) -> Tx:
         msgs = [parse_msg(m) for m in raw["msgs"]]
         return Tx(
             msgs=msgs,
-            fee_payer=raw["fee_payer"],
+            fee_payer=_string(raw, "fee_payer"),
             declared_fee=coins_from_config(raw.get("declared_fee", [])),
             gas_limit=int(raw.get("gas_limit", 0)),
         )
@@ -174,7 +183,8 @@ def parse_event(raw: dict, order: int) -> ScenarioEvent:
         if action == "submit-tx":
             payload = {"tx": parse_tx(raw["tx"])}
         elif action == "upgrade-validator":
-            payload = {"validator": raw["validator"], "version": raw["version"]}
+            payload = {"validator": _string(raw, "validator"),
+                       "version": _string(raw, "version")}
         elif action == "submit-proposal":
             prop = raw["proposal"]
             payload = {
@@ -185,22 +195,22 @@ def parse_event(raw: dict, order: int) -> ScenarioEvent:
             }
         elif action == "cast-vote":
             payload = {
-                "voter": raw["voter"],
+                "voter": _string(raw, "voter"),
                 "proposal_id": int(raw["proposal_id"]),
                 "option": raw["option"],
             }
         elif action == "sniper-arm":
             payload = {
                 "target_height": int(raw["target_height"]),
-                "delegator": raw["delegator"],
-                "validator": raw["validator"],
+                "delegator": _string(raw, "delegator"),
+                "validator": _string(raw, "validator"),
                 "amount": _coin(raw["amount"], "sniper amount"),
                 "gas_limit": int(raw.get("gas_limit", 0)),
                 "declared_fee": coins_from_config(raw.get("declared_fee", [])),
             }
         elif action == "community-spend":
             payload = {
-                "recipient": raw["recipient"],
+                "recipient": _string(raw, "recipient"),
                 "coins": coins_from_config(raw["coins"]),
             }
         else:  # rollback-to

@@ -1,19 +1,23 @@
 """Deterministic block production with version-divergence halts.
 
 Blocks are produced one height at a time. When the active validator set runs
-more than one software version and a block carries transactions, the block
-is evaluated once per version; versions whose per-tx results and resulting
-state hash match form an agreement class, and the block commits only if one
-class controls at least 2/3 of the voting power. Otherwise the chain halts
-at that height. A halt is recoverable: pending upgrade events (wall-clock
-operator actions) are consumed one at a time and the halted height is
-re-processed until a class reaches 2/3 or nothing is left to upgrade.
+more than one software version and a block carries a version-sensitive
+transaction, the block is evaluated once per version, each as a journaled
+branch of the live state; versions whose per-tx results and resulting state
+hash match form an agreement class, and the block commits only if one class
+controls at least 2/3 of the voting power. Otherwise the chain halts at that
+height with the live state back at its pre-tx base. A halt is recoverable:
+pending upgrade events (wall-clock operator actions) are consumed one at a
+time and the halted height is re-processed until a class reaches 2/3 or
+nothing is left to upgrade.
 
 The two version behaviors differ only in staking-message gating: the patch
 version rejects delegate/create-validator above the upgrade height forever,
 while the successor re-enables them at their revert heights and enforces the
 delegation power cap inside the protect window. Everything else -- fee
-admission, tax burning, transfers, governance -- is version-independent.
+admission, tax burning, transfers, governance -- is version-independent, so
+a block with no delegate or create-validator msg at any exec depth is
+evaluated once, whatever the version mix.
 
 Scenario events at a height run before that block's transactions, in
 declaration order; `submit-tx` events are included at exactly their height,
@@ -98,6 +102,7 @@ def execute_msg(state: ChainState, msg: Msg, height: int, version: str) -> None:
         bank.transfer(p["sender"], p["recipient"], {offer.denom: offer.amount})
     elif msg.kind == MsgKind.INSTANTIATE_CONTRACT:
         address = f"contract-{state.contract_counter}"
+        state.journal.save(vars(state), "contract_counter")
         state.contract_counter += 1
         funds = p.get("funds", {})
         if funds:
@@ -132,34 +137,43 @@ def execute_msg(state: ChainState, msg: Msg, height: int, version: str) -> None:
         raise SimError(f"unhandled msg kind {msg.kind}")
 
 
-def apply_txs(state: ChainState, pending: list, height: int, version: str):
-    """Run txs against a state the caller owns; returns (state, results).
+def apply_txs(state: ChainState, pending: list, height: int, version: str) -> list:
+    """Run txs against `state` in place; returns one (status, error) per tx.
 
-    Each tx is atomic: an admission failure restores the pre-tx state
-    bit-for-bit, and a message failure restores the post-admission state so
-    fees stay collected.
+    Each tx is atomic and runs as a journal branch with two marks: an
+    admission failure rolls back to the mark taken before the ante pipeline,
+    leaving the pre-tx state, and a message failure rolls back to the mark
+    taken after it, so fees stay collected. Inside an enclosing branch (one
+    version's evaluation of a block) each tx commits into that branch.
     """
+    journal = state.journal
     results = []
     for ptx in pending:
-        tx = ptx.tx
-        pre = state.clone()
+        # until admission, a failure rejects the tx and undoes everything
+        status, restore = "rejected", journal.begin()
         try:
             ante_mod.run_ante_pipeline(state.bank, state.treasury, state.ante,
-                                       tx, height)
-        except SimError as exc:
-            state = pre
-            results.append(("rejected", type(exc).__name__))
-            continue
-        post_ante = state.clone()
-        try:
-            for msg in tx.msgs:
+                                       ptx.tx, height)
+            status, restore = "failed", journal.mark()
+            for msg in ptx.tx.msgs:
                 execute_msg(state, msg, height, version)
+            results.append(("ok", ""))
         except SimError as exc:
-            state = post_ante
-            results.append(("failed", type(exc).__name__))
-            continue
-        results.append(("ok", ""))
-    return state, results
+            journal.rollback(restore)
+            results.append((status, type(exc).__name__))
+        finally:
+            journal.commit()
+    return results
+
+
+_VERSION_GATED = (MsgKind.DELEGATE, MsgKind.CREATE_VALIDATOR)
+
+
+def _version_sensitive(msgs: list) -> bool:
+    """True when some msg, at any exec depth, is gated by software version."""
+    return any(m.kind in _VERSION_GATED
+               or (m.kind == MsgKind.EXEC and _version_sensitive(m.payload["msgs"]))
+               for m in msgs)
 
 
 _ROLLED_BACK = "rolled-back"
@@ -192,17 +206,20 @@ class Chain:
     # -- event plumbing ----------------------------------------------------
 
     def _next_events(self, height: int):
-        """Consume every not-yet-consumed event with at_height <= height."""
-        out = []
+        """Yield every not-yet-consumed event with at_height <= height.
+
+        Events are consumed one at a time as they are yielded, so when a
+        `rollback-to` ends the block the events declared after it stay
+        pending and run when the new fork reaches their height.
+        """
         while self._cursor < len(self.events):
             ev = self.events[self._cursor]
             if ev.at_height > height:
                 break
-            if self._cursor not in self._consumed:
-                out.append(ev)
-            self._consumed.add(self._cursor)
+            idx = self._cursor
             self._cursor += 1
-        return out
+            if idx not in self._consumed:
+                yield ev
 
     def _apply_event(self, ev, height: int) -> str | None:
         state = self.state
@@ -371,7 +388,13 @@ class Chain:
         self._activate_block_changes(height)
         for ev in self._next_events(height):
             activity = True
-            if self._apply_event(ev, height) == _ROLLED_BACK:
+            try:
+                outcome = self._apply_event(ev, height)
+            except SimError as exc:
+                # a scenario event that the chain refuses is bad input
+                raise ParseError(f"{ev.action} event at height {height}: "
+                                 f"{type(exc).__name__}: {exc}") from exc
+            if outcome == _ROLLED_BACK:
                 return _ROLLED_BACK
         if state.snipers:
             self._fire_snipers(height)
@@ -387,32 +410,19 @@ class Chain:
         if pending:
             activity = True
             versions = sorted(v for v, p in version_power.items() if p)
-            if len(versions) > 1:
-                evaluated = {}
-                for ver in versions:
-                    st2, results = apply_txs(self.state.clone(), pending, height, ver)
-                    sig = (tuple(results), state_hash(st2))
-                    evaluated.setdefault(sig, [[], None])[0].append(ver)
-                    evaluated[sig][1] = st2
-                best_sig = max(
-                    evaluated,
-                    key=lambda s: (sum(version_power[v] for v in evaluated[s][0]), s),
-                )
-                best_power = sum(version_power[v] for v in evaluated[best_sig][0])
-                compatible = Fraction(best_power, total_power)
+            if len(versions) > 1 and any(_version_sensitive(p.tx.msgs) for p in pending):
+                tx_results, compatible = self._apply_per_version(
+                    pending, height, versions, version_power, total_power)
                 if compatible < TWO_THIRDS:
-                    self.state.halted = True
+                    state.halted = True
                     log.warning(
                         "halt at height %d: best agreement class holds %s of power",
                         height, compatible,
                     )
                     return ConsensusOutcome(status=HALTED, height=height)
-                self.state = evaluated[best_sig][1]
-                tx_results = list(best_sig[0])
             else:
                 ver = versions[0] if versions else staking_mod.V21
-                self.state, tx_results = apply_txs(self.state, pending, height, ver)
-            state = self.state
+                tx_results = apply_txs(state, pending, height, ver)
             included = {p.seq for p in pending}
             state.mempool = [p for p in state.mempool if p.seq not in included]
 
@@ -464,6 +474,41 @@ class Chain:
         if tx_results:
             self.tx_log[height] = tx_results
         return ConsensusOutcome(status=COMMITTED, height=height, proposer=proposer)
+
+    def _apply_per_version(self, pending: list, height: int, versions: list,
+                           version_power: dict, total_power: int):
+        """Evaluate the block's txs once per version; returns (results, compatible).
+
+        Each version runs as a branch of the live state and is discarded after
+        its (results, state hash) signature is taken, except the last, which
+        stays open until the winner is known: it is kept when it belongs to
+        the winning class, otherwise the winner is re-applied. When no class
+        reaches 2/3 the live state is left at its pre-tx base.
+        """
+        state = self.state
+        journal = state.journal
+        classes: dict = {}  # (results, state hash) -> versions
+        for ver in versions:
+            base = journal.begin()
+            results = apply_txs(state, pending, height, ver)
+            classes.setdefault((tuple(results), state_hash(state)), []).append(ver)
+            if ver != versions[-1]:
+                journal.rollback(base)
+                journal.commit()
+        best_sig = max(
+            classes,
+            key=lambda s: (sum(version_power[v] for v in classes[s]), s),
+        )
+        winners = classes[best_sig]
+        compatible = Fraction(sum(version_power[v] for v in winners), total_power)
+        if compatible >= TWO_THIRDS and versions[-1] in winners:
+            journal.commit()
+        else:
+            journal.rollback(base)
+            journal.commit()
+            if compatible >= TWO_THIRDS:
+                apply_txs(state, pending, height, winners[0])
+        return list(best_sig[0]), compatible
 
     def _schedule_changes(self, prop, height: int) -> None:
         state = self.state
@@ -519,7 +564,8 @@ class Chain:
             self._consumed.add(idx)
             validator = ev.payload["validator"]
             if validator not in self.state.staking.validators:
-                raise UnknownValidator(validator)
+                raise ParseError(f"upgrade-validator event at height {ev.at_height}: "
+                                 f"UnknownValidator: {validator}")
             self.state.staking.validators[validator].software_version = ev.payload["version"]
             log.info("halt recovery: %s upgraded to %s", validator, ev.payload["version"])
             return True

@@ -153,6 +153,8 @@ class StakingState:
     # Kept sorted by completion height: the unbonding period is uniform, so
     # entries are appended in completion order.
     unbonding: list = field(default_factory=list)
+    # the owning ChainState's undo journal (see state.Journal)
+    journal: object = field(default=None, repr=False, compare=False)
 
     def canonical(self) -> dict:
         return {
@@ -258,6 +260,8 @@ def create_validator(
         raise DuplicateValidator(operator)
     val = Validator(operator_address=operator, tokens=0, status=ACTIVE,
                     software_version=software_version)
+    if st.journal is not None:
+        st.journal.save(st.validators, operator)
     st.validators[operator] = val
     return val
 
@@ -298,6 +302,9 @@ def delegate(
                 f"{st.params.max_delegation_power_fraction} of total power"
             )
     bank.send_account_to_module(delegator, BONDED_POOL, {amount.denom: amount.amount})
+    if st.journal is not None:
+        st.journal.save(st.validators, validator)
+        st.journal.save(st.delegations, delegator)
     val.tokens += amount.amount
     per_val = st.delegations.setdefault(delegator, {})
     per_val[validator] = per_val.get(validator, 0) + amount.amount
@@ -342,6 +349,10 @@ def undelegate(
         raise InsufficientShares(f"{delegator} holds {shares}, tried to unbond {amount.amount}")
     if amount.amount == 0:
         raise InvalidCoin("cannot unbond zero")
+    if st.journal is not None:
+        st.journal.save(st.delegations, delegator)
+        st.journal.save(st.validators, validator)
+        st.journal.save_len(st.unbonding)
     remaining = shares - amount.amount
     if remaining:
         per_val[validator] = remaining

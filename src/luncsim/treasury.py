@@ -87,6 +87,8 @@ class TreasuryState:
     epoch_burned: dict = field(default_factory=dict)
     # [(proposal_id, key, PolicyConstraints), ...] applied at the boundary.
     pending_policies: list = field(default_factory=list)
+    # the owning ChainState's undo journal (see state.Journal)
+    journal: object = field(default=None, repr=False, compare=False)
 
     def canonical(self) -> dict:
         return {
@@ -123,6 +125,8 @@ def set_reward_weight(ts: TreasuryState, requested: Fraction) -> Fraction:
 
 
 def record_epoch_burn(ts: TreasuryState, coins: dict) -> None:
+    if ts.journal is not None:
+        ts.journal.save(vars(ts), "epoch_burned")
     for d, a in coins.items():
         if a:
             ts.epoch_burned[d] = ts.epoch_burned.get(d, 0) + a

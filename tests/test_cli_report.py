@@ -199,3 +199,76 @@ def test_malformed_user_tx_fails_as_a_tx(case, tmp_path):
     # the tx failed after admission, so its fee stays paid
     result = run_scenario(build_state(GENESIS), parse_scenario(scn))
     assert result.final_state.bank.balance("alice", "uluna") == 50_000 - 100
+
+
+NON_STRING_ADDRESSES = {
+    "send-sender": {"kind": "send", "sender": ["alice"], "recipient": "bob",
+                    "coins": [{"denom": "uluna", "amount": "5"}]},
+    "send-recipient": {"kind": "send", "sender": "alice", "recipient": ["bob"],
+                       "coins": [{"denom": "uluna", "amount": "5"}]},
+    "multi-send-output": {"kind": "multi-send", "sender": "alice", "outputs": [
+        {"recipient": "bob", "coins": [{"denom": "uluna", "amount": "5"}]},
+        {"recipient": {"to": "carol"}, "coins": [{"denom": "uluna", "amount": "5"}]}]},
+    "delegate-delegator": {"kind": "delegate", "delegator": 7, "validator": "val1",
+                           "amount": {"denom": "uluna", "amount": "5"}},
+    "undelegate-validator": {"kind": "undelegate", "delegator": "val1",
+                             "validator": ["val1"],
+                             "amount": {"denom": "uluna", "amount": "5"}},
+    "vote-voter": {"kind": "vote", "voter": None, "proposal_id": 1, "option": "yes"},
+    "execute-contract": {"kind": "execute-contract", "sender": "alice",
+                         "contract": ["contract-0"]},
+    "create-validator-operator": {"kind": "create-validator", "operator": ["val9"]},
+    "create-validator-version": {"kind": "create-validator", "operator": "val9",
+                                 "version": ["v21"]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_STRING_ADDRESSES))
+def test_non_string_address_exits_four(case, tmp_path, capsys):
+    scn = {"name": case, "end_height": 5, "events": [
+        {"at_height": 3, "action": "submit-tx", "tx": {
+            "fee_payer": "alice",
+            "declared_fee": [{"denom": "uluna", "amount": "100"}],
+            "msgs": [{"kind": "exec", "sender": "alice",
+                      "msgs": [NON_STRING_ADDRESSES[case]]}],
+        }},
+    ]}
+    g = _write(tmp_path, "g.json", GENESIS)
+    s = _write(tmp_path, "s.json", scn)
+    assert main(["run", "--genesis", g, "--scenario", s]) == 4
+    assert "must be a string" in capsys.readouterr().err
+
+
+BAD_EVENTS = {
+    "vote-on-unknown-proposal": (
+        {"at_height": 3, "action": "cast-vote", "voter": "alice",
+         "proposal_id": 9, "option": "yes"}, "MalformedProposal"),
+    "community-spend-above-pool": (
+        {"at_height": 3, "action": "community-spend", "recipient": "alice",
+         "coins": [{"denom": "uluna", "amount": "1"}]}, "InsufficientFunds"),
+    "upgrade-unknown-validator": (
+        {"at_height": 3, "action": "upgrade-validator", "validator": "ghost",
+         "version": "v21"}, "UnknownValidator"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_EVENTS))
+def test_refused_scenario_event_exits_four(case, tmp_path, capsys):
+    event, error = BAD_EVENTS[case]
+    g = _write(tmp_path, "g.json", GENESIS)
+    s = _write(tmp_path, "s.json", {"name": case, "end_height": 5, "events": [event]})
+    assert main(["run", "--genesis", g, "--scenario", s]) == 4
+    err = capsys.readouterr().err
+    assert f"{event['action']} event at height 3" in err
+    assert error in err
+
+
+def test_unknown_validator_upgrade_in_halt_recovery_exits_four(tmp_path, capsys):
+    # the halt at 20 pulls the upgrade at 25 forward as a recovery action
+    scn = dict(HALTING, strict_halt=False, events=HALTING["events"] + [
+        {"at_height": 25, "action": "upgrade-validator", "validator": "ghost",
+         "version": "v21"}])
+    g = _write(tmp_path, "g.json", GENESIS)
+    s = _write(tmp_path, "s.json", scn)
+    assert main(["run", "--genesis", g, "--scenario", s]) == 4
+    assert "upgrade-validator event at height 25" in capsys.readouterr().err

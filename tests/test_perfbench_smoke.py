@@ -1,0 +1,35 @@
+"""The benchmark still runs against this engine: pins, checks and span names.
+
+`perfbench/run.py --seconds 0` replays a workload the minimum number of
+times and checks every replay against the generator's predictions and, for
+seed 0, the pinned final hash and blocks.csv digest. `--trace 1` also looks
+up every layer the spans wrap by name, so a renamed engine function fails
+here rather than only in the benchmark.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+RUN = ROOT / "perfbench" / "run.py"
+WORKLOADS = ["rebel1-replay", "tx-large-state", "tx-mixed-versions", "fork-replay"]
+CASES = [(w, 0) for w in WORKLOADS] + [("tx-mixed-versions", 1)]
+
+
+@pytest.mark.parametrize("workload,trace", CASES)
+def test_perfbench_replay_is_correct(workload, trace):
+    proc = subprocess.run(
+        [sys.executable, str(RUN), "--workload", workload, "--seed", "0",
+         "--seconds", "0", "--trace", str(trace)],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["correct"] is True
+    assert report["failed"] == 0
+    if trace:
+        assert report["metrics"]["state.clone.per_tx"]["value"] == 0

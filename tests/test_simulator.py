@@ -281,6 +281,19 @@ def test_snapshots_kept_only_at_rollback_targets():
     assert set(chain._snapshots) <= {0, 10, 2_000}      # distinct targets + start
 
 
+def test_events_after_a_rollback_run_on_the_new_fork():
+    g = _genesis([("val1", 10, "v21")], accounts=[("alice", 10_000)])
+    s = {"name": "t", "end_height": 25, "events": [
+        {"at_height": 20, "action": "rollback-to", "target_height": 10},
+        _send_tx(20),
+    ]}
+    res = _run(g, s)
+    # the send was declared after the rollback, so the fork runs it at 20
+    assert res.tx_log == {20: [("ok", "")]}
+    assert res.final_state.bank.balance("bob", "uluna") == 1_000
+    assert res.final_state.height == 25
+
+
 def test_rollback_to_unsnapshotted_height_fails():
     from luncsim.errors import ParseError
     g = _genesis([("val1", 10, "v21")])
@@ -358,3 +371,37 @@ def test_invariant_interval_runs_clean():
          "events": [_send_tx(100), _send_tx(200)]}
     res = _run(g, s)
     assert res.blocks_committed == 500
+
+
+def _count_evaluations(monkeypatch):
+    from luncsim import simulator
+    calls: dict = {}
+    original = simulator.apply_txs
+
+    def counting(state, pending, height, version):
+        calls[height] = calls.get(height, 0) + 1
+        return original(state, pending, height, version)
+
+    monkeypatch.setattr(simulator, "apply_txs", counting)
+    return calls
+
+
+def test_version_insensitive_block_is_evaluated_once(monkeypatch):
+    from luncsim import simulator
+    g = _genesis([("val1", 10, "v21"), ("val2", 10, "v20")],
+                 accounts=[("alice", 10 * M)])
+    s = {"name": "t", "end_height": 12, "events": [
+        _send_tx(5), _send_tx(5, recipient="carol", amount=20 * M),
+        _delegate_tx(8, "alice", "val1", 1 * M)]}
+    calls = _count_evaluations(monkeypatch)
+    once = _run(g, s)
+    assert calls == {5: 1, 8: 2}      # the plain sends run once, the delegate per version
+
+    calls.clear()
+    monkeypatch.setattr(simulator, "_version_sensitive", lambda msgs: True)
+    per_version = _run(g, s)
+    assert calls == {5: 2, 8: 2}
+    assert once.tx_log == per_version.tx_log == {
+        5: [("ok", ""), ("failed", "InsufficientFunds")], 8: [("ok", "")]}
+    assert once.rows == per_version.rows
+    assert once.final_hash == per_version.final_hash
