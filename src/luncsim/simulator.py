@@ -24,6 +24,16 @@ declaration order; `submit-tx` events are included at exactly their height,
 while snipers submit through the mempool and land after the configured
 inclusion delay. Validator upgrades scheduled at a height take effect from
 the next block.
+
+Most blocks of a long replay are idle: no event, tx, fee, maturity, tally,
+epoch turnover, parameter activation or snapshot falls on them, so all they
+do is rotate proposer priority and, on the invariant cadence, check the
+invariants. `Chain.run()` looks ahead after every block to the next height
+that can have work and produces the idle blocks before it in one pass: one
+proposer rotation loop, one report row copied per height, and
+`verify_invariants` at exactly the heights a block-by-block replay would
+check. The results are the same as producing them one at a time, which
+`Chain.step()` still does: it produces exactly one block.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 from . import ante as ante_mod
 from . import distribution as dist_mod
@@ -55,6 +66,8 @@ from .treasury import PolicyConstraints
 log = logging.getLogger("luncsim.simulator")
 
 TWO_THIRDS = Fraction(2, 3)
+# with invariant_interval 0, idle blocks check the invariants this often
+AUTO_INVARIANT_INTERVAL = 1000
 
 COMMITTED = "committed"
 HALTED = "halted"
@@ -346,7 +359,13 @@ class Chain:
 
     # -- block production ----------------------------------------------------
 
-    def _select_proposer(self) -> str | None:
+    def _select_proposer(self, blocks: int = 1) -> str | None:
+        """Rotate proposer priority over `blocks` blocks; returns the last proposer.
+
+        Each block adds every validator's power to its priority and the
+        highest priority, ties to the smallest address, proposes and pays
+        back the total power. The powers are fixed across the blocks.
+        """
         st = self.state.staking
         powers = {}
         for addr, val in st.validators.items():
@@ -361,13 +380,17 @@ class Chain:
         for addr in list(pr):
             if addr not in powers:
                 del pr[addr]
-        total = 0
-        for addr, power in powers.items():
-            pr[addr] = pr.get(addr, 0) + power
-            total += power
-        proposer = min(powers, key=lambda a: (-pr[a], a))
-        pr[proposer] -= total
-        return proposer
+        # sorted by address, so the first of equal priorities wins the tie
+        addrs = sorted(powers)
+        weights = [powers[a] for a in addrs]
+        priority = [pr.get(a, 0) for a in addrs]
+        total = sum(weights)
+        for _ in range(blocks):
+            priority = list(map(add, priority, weights))
+            i = priority.index(max(priority))
+            priority[i] -= total
+        pr.update(zip(addrs, priority))
+        return addrs[i]
 
     def _version_groups(self):
         st = self.state.staking
@@ -534,7 +557,7 @@ class Chain:
         if interval > 0:
             if height % interval == 0:
                 verify_invariants(self.state)
-        elif activity or height % 1000 == 0:
+        elif activity or height % AUTO_INVARIANT_INTERVAL == 0:
             verify_invariants(self.state)
 
     def _report_row(self, height: int) -> tuple:
@@ -571,11 +594,62 @@ class Chain:
             return True
         return False
 
+    def _next_busy_height(self, end: int) -> int:
+        """The first height above the current one whose block may do work.
+
+        Every block before it is idle: no event, tx, sniper, parameter
+        activation, fee, maturity, tally, epoch turnover or snapshot, so
+        it only rotates the proposer and, on the invariant cadence,
+        checks the invariants. A halted chain, pending upgrades or fees
+        left in the collector allow no fast-forward.
+        """
+        state = self.state
+        height = state.height + 1
+        if state.halted or self._pending_upgrades or \
+                any(state.bank.modules[FEE_COLLECTOR].values()):
+            return height
+        epoch = state.treasury.epoch_length_blocks
+        wake = [end, (state.height // epoch + 1) * epoch]
+        if self._cursor < len(self.events):
+            wake.append(self.events[self._cursor].at_height)
+        wake.extend(p.inclusion_height for p in state.mempool)
+        wake.extend(s.target_height for s in state.snipers if not s.fired)
+        if state.staking.unbonding:
+            wake.append(state.staking.unbonding[0].completion_height)
+        wake.extend(p.voting_end_height for p in state.governance.proposals.values()
+                    if p.status == VOTING)
+        wake.extend(e[0] for e in state.pending_block_changes)
+        wake.extend(h for h in self._snap_heights if h > state.height)
+        return max(height, min(wake))
+
+    def _produce_idle_blocks(self, last: int) -> None:
+        """Commit the idle blocks from the next height through `last` in one pass.
+
+        Proposer priority rotates once per block and the invariants are
+        checked at the heights `_check_invariants` picks for a block without
+        activity, on the state that block would leave. Every row is the
+        first one with its height swapped.
+        """
+        state = self.state
+        first = state.height + 1
+        row = self._report_row(first)[1:]
+        interval = self.scenario.invariant_interval
+        every = interval if interval > 0 else AUTO_INVARIANT_INTERVAL
+        for height in range(-(-first // every) * every, last + 1, every):
+            self._select_proposer(height - state.height)
+            state.height = height
+            verify_invariants(state)
+        if last > state.height:
+            self._select_proposer(last - state.height)
+            state.height = last
+        self.rows.extend((height,) + row for height in range(first, last + 1))
+
     def step(self) -> ConsensusOutcome | str:
         """Produce the next block; halts are returned, not recovered."""
         return self._produce_block(self.state.height + 1)
 
     def run(self) -> RunResult:
+        """Replay to `end_height`, producing each run of idle blocks in one pass."""
         end = self.scenario.end_height
         if end < self.state.height:
             raise ParseError(f"end_height {end} is before the current height "
@@ -583,6 +657,10 @@ class Chain:
         blocks = 0
         terminal = False
         while self.state.height < end:
+            last_idle = self._next_busy_height(end) - 1
+            if last_idle > self.state.height:
+                blocks += last_idle - self.state.height
+                self._produce_idle_blocks(last_idle)
             height = self.state.height + 1
             outcome = self._produce_block(height)
             if outcome == _ROLLED_BACK:

@@ -1,0 +1,301 @@
+"""Idle fast-forward: `Chain.run()` gives exactly what one `step()` per block gives.
+
+`run()` produces each run of idle blocks in one pass. These tests hold it to
+a loop that only calls `step()`: the same rows, tx log, epoch events, tally
+outcomes, block count and final hash, and `verify_invariants` called at the
+same heights on the same state. Proposer rotation over n blocks is checked
+against n single-block rotations and against the original per-block
+formula.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from luncsim import BUNDLED_SCENARIOS, build_bundled, build_state, parse_scenario
+from luncsim import simulator
+from luncsim.errors import ChainHalted, ParseError
+from luncsim.scenario import Scenario
+from luncsim.simulator import COMMITTED, Chain
+from luncsim.staking import INACTIVE
+from luncsim.state import state_hash
+
+from fuzztools import build_fuzz_configs
+from helpers import chain_fixture
+
+M = 1_000_000
+FAR_GATES = {
+    "staking_power_upgrade_height": 10**9,
+    "delegate_power_revert_height": 10**9 + 1,
+    "staking_power_revert_height": 2 * 10**9,
+}
+
+
+# -- proposer rotation --------------------------------------------------------
+
+def _reference_rotation(powers: dict, priority: dict) -> str:
+    """One block of the original per-block rotation, on plain dicts."""
+    for addr in list(priority):
+        if addr not in powers:
+            del priority[addr]
+    for addr, power in powers.items():
+        priority[addr] = priority.get(addr, 0) + power
+    proposer = min(powers, key=lambda a: (-priority[a], a))
+    priority[proposer] -= sum(powers.values())
+    return proposer
+
+
+def _rotation_chain(validators, priority) -> Chain:
+    state = chain_fixture(validators=[(addr, tokens) for addr, tokens, _ in validators])
+    for addr, _, active in validators:
+        if not active:
+            state.staking.validators[addr].status = INACTIVE
+    state.proposer_priority = dict(priority)
+    return Chain(state, Scenario(name="rotation", end_height=0))
+
+
+# tokens of power 0 (below one power unit) up to 6; small powers tie often
+_validators = st.lists(
+    st.tuples(st.integers(0, 6).map(lambda p: p * M + 1), st.booleans()),
+    min_size=1, max_size=6,
+).map(lambda vals: [(f"val{i}", tokens, active) for i, (tokens, active) in enumerate(vals)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(validators=_validators,
+       known=st.lists(st.integers(0, 5), max_size=6, unique=True),
+       stale=st.lists(st.sampled_from(["gone", "val9", "aaa"]), max_size=3, unique=True),
+       offsets=st.lists(st.integers(-40, 40), min_size=9, max_size=9),
+       blocks=st.integers(1, 80))
+def test_rotation_over_n_blocks_matches_n_single_rotations(validators, known, stale,
+                                                            offsets, blocks):
+    # some validators already hold priority, the others are new to it, and
+    # the stale addresses (and any zero-power or inactive validator) drop out
+    holders = [f"val{i}" for i in known] + stale
+    priority = {addr: offsets[i] for i, addr in enumerate(holders)}
+
+    batched = _rotation_chain(validators, priority)
+    stepped = _rotation_chain(validators, priority)
+    last = batched._select_proposer(blocks)
+    for _ in range(blocks):
+        last_single = stepped._select_proposer()
+    assert last == last_single
+    assert batched.state.proposer_priority == stepped.state.proposer_priority
+
+    powers = {addr: tokens // M for addr, tokens, active in validators
+              if active and tokens >= M}
+    reference = dict(priority)
+    if powers:
+        for _ in range(blocks):
+            expected = _reference_rotation(powers, reference)
+    else:
+        expected = None
+    assert last == expected
+    assert batched.state.proposer_priority == reference
+
+
+# -- run() against a step loop ----------------------------------------------------
+
+def _observe(genesis_cfg, scenario_cfg, monkeypatch, stepped: bool) -> dict:
+    """Replay with run() or with one step() per block and record what it did."""
+    checks = []
+    verify = simulator.verify_invariants
+
+    def recording_verify(state):
+        checks.append((state.height, state_hash(state)))
+        verify(state)
+
+    monkeypatch.setattr(simulator, "verify_invariants", recording_verify)
+    try:
+        chain = Chain(build_state(genesis_cfg), parse_scenario(scenario_cfg))
+        if stepped:
+            blocks = 0
+            while chain.state.height < chain.scenario.end_height:
+                outcome = chain.step()
+                if outcome != simulator._ROLLED_BACK:
+                    assert outcome.status == COMMITTED, "step loop only covers runs without halts"
+                    blocks += 1
+            simulator.verify_invariants(chain.state)   # as run() does last
+        else:
+            result = chain.run()
+            assert result.halt_heights == []
+            blocks = result.blocks_committed
+    except ParseError as exc:
+        return {"error": str(exc), "checks": checks}
+    finally:
+        monkeypatch.setattr(simulator, "verify_invariants", verify)
+    return {
+        "rows": chain.rows,
+        "tx_log": chain.tx_log,
+        "epoch_events": chain.epoch_events,
+        "tally_outcomes": chain.tally_outcomes,
+        "blocks_committed": blocks,
+        "final_hash": state_hash(chain.state),
+        "checks": checks,
+    }
+
+
+def _assert_run_matches_step_loop(genesis_cfg, scenario_cfg, monkeypatch):
+    ran = _observe(genesis_cfg, scenario_cfg, monkeypatch, stepped=False)
+    stepped = _observe(genesis_cfg, scenario_cfg, monkeypatch, stepped=True)
+    assert ran.keys() == stepped.keys()
+    for key in ran:
+        assert ran[key] == stepped[key], key
+    return ran
+
+
+NON_HALTING = [name for name in sorted(BUNDLED_SCENARIOS) if name != "rebel1-replay"]
+
+
+@pytest.mark.parametrize("name", NON_HALTING)
+def test_bundled_run_matches_step_loop(name, monkeypatch):
+    observed = _assert_run_matches_step_loop(*build_bundled(name), monkeypatch)
+    assert "error" not in observed
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_fuzz_run_matches_step_loop(seed, monkeypatch):
+    observed = _assert_run_matches_step_loop(*build_fuzz_configs(seed), monkeypatch)
+    assert "error" not in observed
+
+
+def test_upgrade_carried_over_a_rollback_lands_on_the_next_block(monkeypatch):
+    # a rollback-to ends its block before the upgrade declared ahead of it
+    # takes effect, so the upgrade lands at the end of the first block of
+    # the new fork, which must not be fast-forwarded
+    genesis_cfg = {
+        "staking": {"gates": FAR_GATES, "validators": [
+            {"address": "val1", "tokens": str(5 * M), "version": "v20"}]},
+        "treasury": {"epoch_length_blocks": 1000},
+    }
+    scenario_cfg = {"name": "upgrade-rollback", "end_height": 60, "invariant_interval": 1,
+                    "events": [
+                        {"at_height": 30, "action": "upgrade-validator",
+                         "validator": "val1", "version": "v21"},
+                        {"at_height": 30, "action": "rollback-to", "target_height": 10},
+                    ]}
+    observed = _assert_run_matches_step_loop(genesis_cfg, scenario_cfg, monkeypatch)
+    assert "error" not in observed
+
+
+def test_run_on_a_halted_chain_produces_nothing():
+    state = build_state(build_bundled("distribution-4080")[0])
+    state.halted = True
+    before = state_hash(state)
+    chain = Chain(state, Scenario(name="halted", end_height=state.height + 50))
+    with pytest.raises(ChainHalted):
+        chain.run()
+    assert chain.rows == [] and state_hash(state) == before
+
+
+def test_rebel1_invariant_cadence_is_not_thinned(monkeypatch):
+    heights = []
+    verify = simulator.verify_invariants
+
+    def counting_verify(state):
+        heights.append(state.height)
+        verify(state)
+
+    monkeypatch.setattr(simulator, "verify_invariants", counting_verify)
+    genesis_cfg, scenario_cfg = build_bundled("rebel1-replay")
+    result = simulator.run_scenario(build_state(genesis_cfg), parse_scenario(scenario_cfg))
+    assert result.blocks_committed == 125_000
+    # the 125 multiples of 1000 in 7559601..7684600, the epoch turnover, the
+    # recovered halt block, val6's upgrade event and the check after the run
+    assert len(heights) == 129
+    assert [h for h in heights if h % 1000] == [7_603_200, 7_684_492, 7_684_494, 7_684_600]
+
+
+# Sparse scenarios that wake the chain through every source the look-ahead
+# knows: events, mempool inclusions, sniper targets, unbonding maturities,
+# voting ends, epoch boundaries, parameter activations, rollback snapshots,
+# fees left in the collector and the end height. Validators mix v20 and
+# v21, but with the gates out of reach no rule differs between versions, so
+# no block halts.
+
+def _tx(height, msg, fee=0):
+    tx = {"fee_payer": msg.get("sender") or msg.get("delegator"), "msgs": [msg]}
+    if fee:
+        tx["declared_fee"] = [{"denom": "uluna", "amount": str(fee)}]
+    return {"at_height": height, "action": "submit-tx", "tx": tx}
+
+
+@st.composite
+def sparse_scenarios(draw):
+    end = draw(st.integers(20, 1200))
+    n_vals = draw(st.integers(1, 4))
+    version = st.sampled_from(["v20", "v21"])
+    validators = [f"val{i}" for i in range(1, n_vals + 1)]
+    height = st.integers(1, end)
+    genesis_cfg = {
+        "chain_id": "sparse",
+        "accounts": [{"address": "alice", "denom": "uluna", "amount": str(10**6 * M)}],
+        "module_accounts": [
+            {"module": "FeeCollector", "denom": "uluna", "amount": draw(st.sampled_from([0, 7]))},
+            {"module": "CommunityPool", "denom": "uluna", "amount": 1_000},
+        ],
+        "staking": {
+            "gates": FAR_GATES,
+            "unbonding_period_blocks": draw(st.integers(1, 80)),
+            "validators": [{"address": v, "tokens": str(draw(st.integers(1, 9)) * M),
+                            "version": draw(version)} for v in validators],
+        },
+        "treasury": {"epoch_length_blocks": draw(st.integers(3, 400))},
+        "governance": {"voting_period_blocks": draw(st.integers(3, 60))},
+        "ante": {"gas_price": "0"},
+    }
+    events = []
+    proposals = 0
+    kinds = st.sampled_from(["send", "delegate", "undelegate", "sniper", "proposal",
+                             "upgrade", "spend", "rollback"])
+    for kind in draw(st.lists(kinds, max_size=8)):
+        at = draw(height)
+        val = draw(st.sampled_from(validators))
+        if kind == "send":
+            events.append(_tx(at, {"kind": "send", "sender": "alice", "recipient": "bob",
+                                   "coins": [{"denom": "uluna", "amount": "5"}]},
+                              fee=draw(st.sampled_from([0, 1_000]))))
+        elif kind == "delegate":
+            events.append(_tx(at, {"kind": "delegate", "delegator": "alice", "validator": val,
+                                   "amount": {"denom": "uluna", "amount": str(M)}}))
+        elif kind == "undelegate":
+            events.append(_tx(at, {"kind": "undelegate", "delegator": val, "validator": val,
+                                   "amount": {"denom": "uluna", "amount": str(M // 4)}}))
+        elif kind == "sniper":
+            events.append({"at_height": at, "action": "sniper-arm", "delegator": "alice",
+                           "validator": val, "target_height": at + draw(st.integers(-3, 90)),
+                           "amount": {"denom": "uluna", "amount": str(M)}})
+        elif kind == "proposal":
+            proposals += 1
+            change = draw(st.sampled_from([
+                {"subspace": "distribution", "key": "communitytax", "value": "0.1"},
+                {"subspace": "staking", "key": "UnbondingPeriodBlocks", "value": "5"},
+            ]))
+            events.append({"at_height": at, "action": "submit-proposal",
+                           "proposal": {"kind": "param-change", "title": "p",
+                                        "changes": [change]}})
+            events += [{"at_height": at + 1, "action": "cast-vote", "voter": v,
+                        "proposal_id": proposals, "option": "yes"} for v in validators]
+        elif kind == "upgrade":
+            events.append({"at_height": at, "action": "upgrade-validator",
+                           "validator": val, "version": draw(version)})
+        elif kind == "spend":
+            events.append({"at_height": at, "action": "community-spend", "recipient": "burn",
+                           "coins": [{"denom": "uluna", "amount": "3"}]})
+        else:
+            events.append({"at_height": at, "action": "rollback-to",
+                           "target_height": draw(st.integers(0, at - 1))})
+    scenario_cfg = {
+        "name": "sparse",
+        "end_height": end,
+        "inclusion_delay": draw(st.integers(0, 3)),
+        "invariant_interval": draw(st.sampled_from([0, 1, 7, 100])),
+        "events": events,
+    }
+    return genesis_cfg, scenario_cfg
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(configs=sparse_scenarios())
+def test_sparse_run_matches_step_loop(configs, monkeypatch):
+    _assert_run_matches_step_loop(*configs, monkeypatch)

@@ -4,7 +4,9 @@
 times and checks every replay against the generator's predictions and, for
 seed 0, the pinned final hash and blocks.csv digest. `--trace 1` also looks
 up every layer the spans wrap by name, so a renamed engine function fails
-here rather than only in the benchmark.
+here rather than only in the benchmark; on rebel1-replay and fork-replay it
+runs them through the idle fast-forward, whose invariant checks must still
+go through the wrapped `simulator.verify_invariants`.
 """
 
 import json
@@ -17,7 +19,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 RUN = ROOT / "perfbench" / "run.py"
 WORKLOADS = ["rebel1-replay", "tx-large-state", "tx-mixed-versions", "fork-replay"]
-CASES = [(w, 0) for w in WORKLOADS] + [("tx-mixed-versions", 1)]
+CASES = [(w, 0) for w in WORKLOADS] + \
+    [("rebel1-replay", 1), ("tx-mixed-versions", 1), ("fork-replay", 1)]
 
 
 @pytest.mark.parametrize("workload,trace", CASES)
@@ -33,3 +36,5 @@ def test_perfbench_replay_is_correct(workload, trace):
     assert report["failed"] == 0
     if trace:
         assert report["metrics"]["state.clone.per_tx"]["value"] == 0
+    if trace and workload == "rebel1-replay":
+        assert report["metrics"]["state.verify_invariants.calls"]["value"] == 129
