@@ -22,10 +22,12 @@ print(f"replayed {result.blocks_committed} blocks in {elapsed:.2f}s")
 print("halt heights:", result.halt_heights)
 print("terminal halt:", result.terminal_halted)
 
-# the flagged row shows the halt before the recovered commit overwrote it
-for row in result.rows:
-    if row[0] in (7_684_491, 7_684_492):
-        print("row", row)
+# the flagged row shows the halt before the recovered commit overwrote it;
+# rows are height runs (first, last, *values), expanded here per height
+for first, last, *values in result.rows:
+    for height in (7_684_491, 7_684_492):
+        if first <= height <= last:
+            print("row", (height, *values))
 
 final = result.final_state
 versions = {v.operator_address: v.software_version

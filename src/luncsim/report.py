@@ -3,9 +3,12 @@
 The CSV has one row per committed block (plus a flagged row for a block
 height at which the chain halted before committing): height, then for each
 denomination in sorted order the total supply, cumulative burn, and
-community-pool balance, then the halt flag. The summary carries final
-figures with every amount rendered as a decimal string, so values beyond
-53-bit float safety survive any JSON reader.
+community-pool balance, then the halt flag. The CSV is written from the
+run's height runs `(first, last, *values)` (see `simulator`): `csv.writer`
+gets each run as a lazy sequence of per-height rows, so a long run is never
+expanded in memory. The summary carries final figures with every amount
+rendered as a decimal string, so values beyond 53-bit float safety survive
+any JSON reader.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from itertools import repeat
 
 from .coins import coins_as_strings
 from .ledger import COMMUNITY_POOL
@@ -36,7 +40,9 @@ def write_block_csv(path: str, result: RunResult) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(csv_header(result.denoms))
-        writer.writerows(result.rows)
+        for first, last, *values in result.rows:
+            # (height, *values) for each height of the run
+            writer.writerows(zip(range(first, last + 1), *map(repeat, values)))
 
 
 def build_summary(result: RunResult) -> dict:

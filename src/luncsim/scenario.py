@@ -12,6 +12,11 @@ Schema:
       "events": [ {"at_height": H, "action": ..., ...}, ... ]
     }
 
+`inclusion_delay` and `invariant_interval` are non-negative integers and
+`strict_halt` is a JSON boolean; anything else is a ParseError, as is an
+`events` that is not a list or a `precommit_overrides` that is not a
+mapping of integer heights.
+
 Actions:
 
     submit-tx           tx: {fee_payer, gas_limit, declared_fee: [coin...],
@@ -220,6 +225,18 @@ def parse_event(raw: dict, order: int) -> ScenarioEvent:
     return ScenarioEvent(at_height=at_height, action=action, payload=payload, order=order)
 
 
+def _count(cfg: dict, key: str, default: int) -> int:
+    """cfg[key] as a non-negative integer."""
+    value = cfg.get(key, default)
+    try:
+        count = int(value)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{key} must be an integer, got {value!r}") from exc
+    if count < 0:
+        raise ParseError(f"{key} must be non-negative, got {value!r}")
+    return count
+
+
 def parse_scenario(cfg: dict) -> Scenario:
     if not isinstance(cfg, dict):
         raise ParseError("scenario must be a mapping")
@@ -227,27 +244,34 @@ def parse_scenario(cfg: dict) -> Scenario:
         end_height = int(cfg["end_height"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("scenario needs an integer end_height") from exc
-    events = [parse_event(e, i) for i, e in enumerate(cfg.get("events", []))]
+    raw_events = cfg.get("events", [])
+    if not isinstance(raw_events, list):
+        raise ParseError(f"events must be a list, got {raw_events!r}")
+    events = [parse_event(e, i) for i, e in enumerate(raw_events)]
     events.sort(key=lambda e: (e.at_height, e.order))
+    raw_overrides = cfg.get("precommit_overrides", {})
+    if not isinstance(raw_overrides, dict):
+        raise ParseError(f"precommit_overrides must be a mapping, got {raw_overrides!r}")
     overrides = {}
-    for h, frac in cfg.get("precommit_overrides", {}).items():
+    for h, frac in raw_overrides.items():
         try:
+            height = int(h)
             value = Fraction(str(frac))
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad precommit override {h}: {frac}") from exc
+            raise ParseError(f"bad precommit_overrides entry {h!r}: {frac!r}") from exc
         if not Fraction(2, 3) <= value <= 1:
-            raise ParseError(f"precommit override {h} outside [2/3, 1]: {frac}")
-        overrides[int(h)] = value
-    delay = int(cfg.get("inclusion_delay", 2))
-    if delay < 0:
-        raise ParseError("inclusion_delay must be non-negative")
+            raise ParseError(f"precommit_overrides entry {h!r} outside [2/3, 1]: {frac!r}")
+        overrides[height] = value
+    strict_halt = cfg.get("strict_halt", False)
+    if not isinstance(strict_halt, bool):
+        raise ParseError(f"strict_halt must be true or false, got {strict_halt!r}")
     return Scenario(
         name=cfg.get("name", "unnamed"),
         end_height=end_height,
         events=events,
-        inclusion_delay=delay,
-        strict_halt=bool(cfg.get("strict_halt", False)),
-        invariant_interval=int(cfg.get("invariant_interval", 0)),
+        inclusion_delay=_count(cfg, "inclusion_delay", 2),
+        strict_halt=strict_halt,
+        invariant_interval=_count(cfg, "invariant_interval", 0),
         precommit_overrides=overrides,
     )
 

@@ -30,10 +30,21 @@ epoch turnover, parameter activation or snapshot falls on them, so all they
 do is rotate proposer priority and, on the invariant cadence, check the
 invariants. `Chain.run()` looks ahead after every block to the next height
 that can have work and produces the idle blocks before it in one pass: one
-proposer rotation loop, one report row copied per height, and
-`verify_invariants` at exactly the heights a block-by-block replay would
-check. The results are the same as producing them one at a time, which
+proposer rotation, one report run, and `verify_invariants` at exactly the
+heights a block-by-block replay would check. With fixed powers the proposer
+priorities are periodic, so the rotation skips every whole cycle it finds
+and costs time in the number of distinct priority states, not in blocks.
+The results are the same as producing the blocks one at a time, which
 `Chain.step()` still does: it produces exactly one block.
+
+Report rows are kept as height runs: `Chain.rows` (and `RunResult.rows`) is
+a list of `(first, last, *values)` tuples, each standing for one blocks.csv
+row `(height, *values)` per height from `first` through `last`. The values
+are the supplies, cumulative burns and community-pool balances per denom,
+then the halt flag. A block's row joins the previous run when it is the next
+height with equal values, so `run()` and a `step()` loop build the same
+list; a halt row, a recommit at the same height or a rollback to a lower
+height starts a new run.
 """
 
 from __future__ import annotations
@@ -89,7 +100,7 @@ class RunResult:
     halt_heights: list
     terminal_halted: bool
     denoms: list
-    rows: list
+    rows: list  # (first, last, *values) report runs, see the module docstring
     tally_outcomes: dict
     warnings: list
     epoch_events: list
@@ -364,7 +375,11 @@ class Chain:
 
         Each block adds every validator's power to its priority and the
         highest priority, ties to the smallest address, proposes and pays
-        back the total power. The powers are fixed across the blocks.
+        back the total power. The powers are fixed across the blocks, so
+        once the priorities come back to where they started they repeat
+        with that period: the whole cycles left are skipped and only the
+        remainder is stepped through. The last real step is in the same
+        phase as the last block, so its proposer is the last proposer.
         """
         st = self.state.staking
         powers = {}
@@ -385,10 +400,15 @@ class Chain:
         weights = [powers[a] for a in addrs]
         priority = [pr.get(a, 0) for a in addrs]
         total = sum(weights)
-        for _ in range(blocks):
+        start = priority
+        step = 0
+        while step < blocks:
             priority = list(map(add, priority, weights))
             i = priority.index(max(priority))
             priority[i] -= total
+            step += 1
+            if priority == start:
+                step = blocks - (blocks - step) % step
         pr.update(zip(addrs, priority))
         return addrs[i]
 
@@ -493,7 +513,7 @@ class Chain:
         if height in self._snap_heights:
             self._snapshots[height] = state.clone()
         self._check_invariants(height, activity)
-        self.rows.append(self._report_row(height))
+        self._add_rows(height, height)
         if tx_results:
             self.tx_log[height] = tx_results
         return ConsensusOutcome(status=COMMITTED, height=height, proposer=proposer)
@@ -560,16 +580,31 @@ class Chain:
         elif activity or height % AUTO_INVARIANT_INTERVAL == 0:
             verify_invariants(self.state)
 
-    def _report_row(self, height: int) -> tuple:
+    def _report_row(self) -> tuple:
+        """The report values of the current state: a blocks.csv row without its height."""
         bank = self.state.bank
         supply = bank.supply
-        row = [height]
-        row.extend(supply.totals.get(d, 0) for d in self.denoms)
+        row = [supply.totals.get(d, 0) for d in self.denoms]
         row.extend(supply.cumulative_burned.get(d, 0) for d in self.denoms)
         community = bank.modules["CommunityPool"]
         row.extend(community.get(d, 0) for d in self.denoms)
         row.append(1 if self.state.halted else 0)
         return tuple(row)
+
+    def _add_rows(self, first: int, last: int) -> None:
+        """Report heights first..last with the current state's values.
+
+        They extend the last run when it ends just below `first` with the
+        same values, so however the blocks were produced, no two neighbouring
+        runs could be merged. A halt row never joins a run: its halt flag is
+        set, and the row before it is a committed block's, whose flag is not.
+        """
+        values = self._report_row()
+        rows = self.rows
+        if rows and rows[-1][1] == first - 1 and rows[-1][2:] == values:
+            rows[-1] = (rows[-1][0], last) + values
+        else:
+            rows.append((first, last) + values)
 
     def _apply_one_recovery_upgrade(self) -> bool:
         """During a halt, apply the next pending upgrade (wall-clock action)."""
@@ -627,12 +662,12 @@ class Chain:
 
         Proposer priority rotates once per block and the invariants are
         checked at the heights `_check_invariants` picks for a block without
-        activity, on the state that block would leave. Every row is the
-        first one with its height swapped.
+        activity, on the state that block would leave. An idle block changes
+        no reported value, so all of them are one report run, which usually
+        extends the run of the block before.
         """
         state = self.state
         first = state.height + 1
-        row = self._report_row(first)[1:]
         interval = self.scenario.invariant_interval
         every = interval if interval > 0 else AUTO_INVARIANT_INTERVAL
         for height in range(-(-first // every) * every, last + 1, every):
@@ -642,7 +677,7 @@ class Chain:
         if last > state.height:
             self._select_proposer(last - state.height)
             state.height = last
-        self.rows.extend((height,) + row for height in range(first, last + 1))
+        self._add_rows(first, last)
 
     def step(self) -> ConsensusOutcome | str:
         """Produce the next block; halts are returned, not recovered."""
@@ -670,7 +705,7 @@ class Chain:
                 continue
             # halt episode at `height`
             self.halt_heights.append(height)
-            self.rows.append(self._report_row(height))
+            self._add_rows(height, height)
             if self.scenario.strict_halt:
                 terminal = True
                 break

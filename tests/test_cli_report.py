@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from luncsim import errors
+from luncsim import build_bundled, errors
 from luncsim.cli import main
 from luncsim.genesis import build_state
 from luncsim.report import build_summary, csv_header, write_reports
@@ -272,3 +272,25 @@ def test_unknown_validator_upgrade_in_halt_recovery_exits_four(tmp_path, capsys)
     s = _write(tmp_path, "s.json", scn)
     assert main(["run", "--genesis", g, "--scenario", s]) == 4
     assert "upgrade-validator event at height 25" in capsys.readouterr().err
+
+
+BAD_TOP_LEVEL_FIELDS = {
+    "inclusion-delay-not-an-integer": ({"inclusion_delay": "x"}, "inclusion_delay"),
+    "invariant-interval-not-an-integer": ({"invariant_interval": "x"}, "invariant_interval"),
+    "invariant-interval-negative": ({"invariant_interval": -5}, "invariant_interval"),
+    "precommit-override-height-not-an-integer": (
+        {"precommit_overrides": {"abc": "0.8"}}, "precommit_overrides"),
+    "precommit-overrides-not-a-mapping": ({"precommit_overrides": [1]}, "precommit_overrides"),
+    "events-not-a-list": ({"events": 5}, "events"),
+    "strict-halt-not-a-bool": ({"strict_halt": "false"}, "strict_halt"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TOP_LEVEL_FIELDS))
+def test_bad_scenario_top_level_field_exits_four(case, tmp_path, capsys):
+    fields, name = BAD_TOP_LEVEL_FIELDS[case]
+    genesis_cfg, scenario_cfg = build_bundled("distribution-4080")
+    g = _write(tmp_path, "g.json", genesis_cfg)
+    s = _write(tmp_path, "s.json", dict(scenario_cfg, **fields))
+    assert main(["run", "--genesis", g, "--scenario", s]) == 4
+    assert name in capsys.readouterr().err

@@ -5,7 +5,7 @@ a loop that only calls `step()`: the same rows, tx log, epoch events, tally
 outcomes, block count and final hash, and `verify_invariants` called at the
 same heights on the same state. Proposer rotation over n blocks is checked
 against n single-block rotations and against the original per-block
-formula.
+formula, including where it skips whole cycles of the priorities.
 """
 
 import pytest
@@ -65,7 +65,7 @@ _validators = st.lists(
        known=st.lists(st.integers(0, 5), max_size=6, unique=True),
        stale=st.lists(st.sampled_from(["gone", "val9", "aaa"]), max_size=3, unique=True),
        offsets=st.lists(st.integers(-40, 40), min_size=9, max_size=9),
-       blocks=st.integers(1, 80))
+       blocks=st.integers(1, 500))
 def test_rotation_over_n_blocks_matches_n_single_rotations(validators, known, stale,
                                                             offsets, blocks):
     # some validators already hold priority, the others are new to it, and
@@ -91,6 +91,67 @@ def test_rotation_over_n_blocks_matches_n_single_rotations(validators, known, st
         expected = None
     assert last == expected
     assert batched.state.proposer_priority == reference
+
+
+def _stepped_rotation(chain, blocks, monkeypatch):
+    """Rotate `blocks` blocks; returns the last proposer and the steps taken."""
+    adds = []
+
+    def counting_add(a, b):
+        adds.append(None)
+        return a + b
+
+    with monkeypatch.context() as patch:
+        # the rotation adds the powers with one `add` per validator and step
+        patch.setattr(simulator, "add", counting_add)
+        last = chain._select_proposer(blocks)
+    return last, len(adds) // len(chain.state.proposer_priority)
+
+
+def _reference_over(powers: dict, priority: dict, blocks: int):
+    reference = dict(priority)
+    for _ in range(blocks):
+        last = _reference_rotation(powers, reference)
+    return last, reference
+
+
+# powers 3 and 2 from zero priority: the priorities come back after 5 blocks
+PERIODIC = [("val0", 3 * M, True), ("val1", 2 * M, True)]
+
+
+@pytest.mark.parametrize("blocks,steps", [(5, 5), (15, 5), (500, 5), (6, 6), (16, 6)])
+def test_rotation_skips_whole_cycles(blocks, steps, monkeypatch):
+    # a multiple of the period steps through one cycle only; one block more
+    # steps through one cycle and then the one-block remainder
+    chain = _rotation_chain(PERIODIC, {})
+    last, taken = _stepped_rotation(chain, blocks, monkeypatch)
+    assert taken == steps
+    assert (last, chain.state.proposer_priority) == \
+        _reference_over({"val0": 3, "val1": 2}, {}, blocks)
+
+
+def test_rotation_off_the_cycle_skips_nothing(monkeypatch):
+    # equal powers settle into the cycle (5, 5) -> (4, 6) -> (5, 5), which
+    # never passes through the start (10, 0) again
+    validators = [("val0", M, True), ("val1", M, True)]
+    start = {"val0": 10, "val1": 0}
+    chain = _rotation_chain(validators, start)
+    last, taken = _stepped_rotation(chain, 40, monkeypatch)
+    assert taken == 40
+    assert (last, chain.state.proposer_priority) == \
+        _reference_over({"val0": 1, "val1": 1}, start, 40)
+
+
+def test_rotation_over_rebel1_genesis_powers(monkeypatch):
+    # 4 x 9600 and 2 x 10800 power repeat every 50 blocks from genesis
+    state = build_state(build_bundled("rebel1-replay")[0])
+    chain = Chain(state, Scenario(name="rotation", end_height=0))
+    powers = {addr: val.tokens // state.staking.params.power_reduction
+              for addr, val in state.staking.validators.items()}
+    start = dict(state.proposer_priority)
+    last, taken = _stepped_rotation(chain, 125_000, monkeypatch)
+    assert taken == 50
+    assert (last, state.proposer_priority) == _reference_over(powers, start, 125_000)
 
 
 # -- run() against a step loop ----------------------------------------------------

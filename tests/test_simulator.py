@@ -105,7 +105,7 @@ def test_mixed_versions_halt_below_two_thirds():
     assert res.terminal_halted
     assert res.final_state.height == 19
     # the halted block is flagged in the report rows
-    assert res.rows[-1][0] == 20 and res.rows[-1][-1] == 1
+    assert res.rows[-1][:2] == (20, 20) and res.rows[-1][-1] == 1
 
 
 def test_supermajority_version_commits_through_divergence():
