@@ -7,13 +7,8 @@ them block by block so historical episodes (notably the testnet consensus
 halt at 7,684,492) reproduce exactly.
 """
 
-from .blocktime import (
-    SECONDS_PER_BLOCK,
-    block_timestamp,
-    blocks_for_days,
-    blocks_for_seconds,
-)
-from .coins import MICRO, Coin, coin_set, coins_add, coins_sub, normalize
+from .blocktime import SECONDS_PER_BLOCK, blocks_for_days, blocks_for_seconds
+from .coins import MICRO, Coin, coins_add, normalize
 from .errors import (
     ChainHalted,
     InsufficientFunds,
@@ -69,15 +64,12 @@ __all__ = [
     "SECONDS_PER_BLOCK",
     "SimError",
     "TESTNET_DELEGATE_POWER_REVERT_HEIGHT",
-    "block_timestamp",
     "blocks_for_days",
     "blocks_for_seconds",
     "build_bundled",
     "build_state",
     "check_power_cap",
-    "coin_set",
     "coins_add",
-    "coins_sub",
     "deduct_tax",
     "estimate_fee",
     "load_genesis_file",

@@ -106,7 +106,6 @@ class TaxComputationParams:
     tax_caps: dict = field(default_factory=dict)
     default_tax_cap: int = treasury_mod.DEFAULT_TAX_CAP
     exempt_denoms: frozenset = frozenset({"stake"})
-    tax_power_upgrade_height: int = 0
 
     def cap_for(self, denom: str) -> int:
         return self.tax_caps.get(denom, self.default_tax_cap)
@@ -136,7 +135,6 @@ def tax_params(ts: treasury_mod.TreasuryState, cfg: AnteConfig) -> TaxComputatio
         tax_caps=dict(ts.tax_caps),
         default_tax_cap=ts.default_tax_cap,
         exempt_denoms=cfg.exempt_denoms,
-        tax_power_upgrade_height=cfg.tax_power_upgrade_height,
     )
 
 
@@ -195,15 +193,13 @@ def required_gas_fee(cfg: AnteConfig, gas_limit: int) -> dict:
     return {cfg.gas_denom: -(-num // den)}
 
 
-def burn_tax_decorator(bank, ts: treasury_mod.TreasuryState, tx: Tx, height: int,
+def burn_tax_decorator(bank, ts: treasury_mod.TreasuryState, tx: Tx,
                        params: TaxComputationParams) -> dict:
     """Burn the tax owed by an admitted tx out of the collected fee.
 
-    Assumes the declared fee already sits in the fee collector. Returns the
-    burned coin set.
+    Assumes the declared fee already sits in the fee collector and the tax
+    is active at this height. Returns the burned coin set.
     """
-    if height < params.tax_power_upgrade_height:
-        return {}
     taxes = filter_msgs_and_compute_tax(tx.msgs, params)
     if not taxes:
         return {}
@@ -233,7 +229,7 @@ def run_ante_pipeline(bank, ts: treasury_mod.TreasuryState, cfg: AnteConfig,
         bank.send_account_to_module(tx.fee_payer, FEE_COLLECTOR, tx.declared_fee)
     if not tax_active:
         return {}
-    burned = burn_tax_decorator(bank, ts, tx, height, params)
+    burned = burn_tax_decorator(bank, ts, tx, params)
     # The fee stage and the burn stage compute the tax independently; a
     # mismatch means the pipeline itself is broken, not the tx.
     if burned != expected_tax:

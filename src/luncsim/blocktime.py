@@ -31,8 +31,3 @@ def blocks_for_seconds(seconds: int) -> int:
     if r:
         raise ValueError(f"{seconds}s is not a whole number of {SECONDS_PER_BLOCK}s blocks")
     return q
-
-
-def block_timestamp(genesis_time: int, genesis_height: int, height: int) -> int:
-    """Seconds-since-epoch timestamp of a block, 7 seconds apart."""
-    return genesis_time + SECONDS_PER_BLOCK * (height - genesis_height)

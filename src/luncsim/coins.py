@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InsufficientFunds, ParseError
+from .errors import ParseError
 
 MICRO = 1_000_000
 
@@ -38,14 +38,6 @@ class Coin:
             raise ValueError("coin amount must be non-negative")
 
 
-def coin_set(*coins: Coin) -> dict:
-    """Build a normalized coin set from Coin values, merging duplicates."""
-    out: dict = {}
-    for c in coins:
-        out[c.denom] = out.get(c.denom, 0) + c.amount
-    return normalize(out)
-
-
 def normalize(cs: dict) -> dict:
     """Drop zero entries; negative entries are a programming error."""
     for denom, amt in cs.items():
@@ -59,17 +51,6 @@ def coins_add(a: dict, b: dict) -> dict:
     for d, amt in b.items():
         out[d] = out.get(d, 0) + amt
     return normalize(out)
-
-
-def coins_sub(a: dict, b: dict) -> dict:
-    """a - b, raising InsufficientFunds if any denom would go negative."""
-    out = dict(a)
-    for d, amt in b.items():
-        have = out.get(d, 0)
-        if have < amt:
-            raise InsufficientFunds(f"need {amt} {d}, have {have}")
-        out[d] = have - amt
-    return {d: a2 for d, a2 in out.items() if a2 != 0}
 
 
 def coins_ge(a: dict, b: dict) -> bool:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .coins import coins_add, coins_as_strings, normalize
 from .errors import UnknownProposer
 from .ledger import COMMUNITY_POOL, DISTRIBUTION, FEE_COLLECTOR, TREASURY
-from .staking import ACTIVE, tokens_to_consensus_power
+from .staking import ACTIVE, consensus_powers
 
 TWO_THIRDS = Fraction(2, 3)
 
@@ -81,11 +81,7 @@ def _split(bank, ds: DistributionState, staking_state, source: str, coins: dict,
     every division floors and the dust joins the community cut.
     """
     p = ds.params
-    powers = {
-        a: tokens_to_consensus_power(v.tokens, staking_state.params.power_reduction)
-        for a, v in sorted(staking_state.validators.items())
-        if v.status == ACTIVE
-    }
+    powers = consensus_powers(staking_state)
     total_power = sum(powers.values())
 
     proposer_cut: dict = {}

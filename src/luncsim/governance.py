@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import MalformedProposal, StillInVoting
+from .journal import Journal
 from . import staking as staking_mod
 from . import treasury as treasury_mod
 
@@ -115,8 +116,8 @@ class GovernanceState:
     votes: dict = field(default_factory=dict)  # proposal id -> {voter: option}
     tally_records: dict = field(default_factory=dict)  # proposal id -> [VoteRecord]
     next_proposal_id: int = 1
-    # the owning ChainState's undo journal (see state.Journal)
-    journal: object = field(default=None, repr=False, compare=False)
+    # the owning ChainState's undo journal, or a store's own
+    journal: Journal = field(default_factory=Journal, repr=False, compare=False)
 
     def canonical(self) -> dict:
         return {
@@ -195,10 +196,9 @@ def submit_proposal(gov: GovernanceState, kind: str, height: int,
         changes=parsed,
         voting_end_height=height + gov.params.voting_period_blocks,
     )
-    if gov.journal is not None:
-        gov.journal.save(vars(gov), "next_proposal_id")
-        gov.journal.save(gov.proposals, prop.proposal_id)
-        gov.journal.save(gov.votes, prop.proposal_id)
+    gov.journal.save(vars(gov), "next_proposal_id")
+    gov.journal.save(gov.proposals, prop.proposal_id)
+    gov.journal.save(gov.votes, prop.proposal_id)
     gov.next_proposal_id += 1
     gov.proposals[prop.proposal_id] = prop
     gov.votes[prop.proposal_id] = {}
@@ -214,8 +214,7 @@ def cast_vote(gov: GovernanceState, voter: str, proposal_id: int, option: str) -
     if prop.status != VOTING:
         raise MalformedProposal(f"proposal {proposal_id} is not in voting")
     votes = gov.votes[proposal_id]
-    if gov.journal is not None:
-        gov.journal.save(votes, voter)
+    gov.journal.save(votes, voter)
     votes[voter] = option  # a re-vote replaces the old one
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from .coins import coins_ge, coins_as_strings, normalize
 from .errors import InsufficientFunds, InvariantViolation, UnknownModule
+from .journal import Journal
 
 FEE_COLLECTOR = "FeeCollector"
 BURN_MODULE = "BurnModule"
@@ -63,8 +64,8 @@ class Bank:
         self.accounts: dict = {}
         self.modules: dict = {name: {} for name in module_names}
         self.supply = SupplyLedger()
-        # the owning ChainState's undo journal; None for a standalone bank
-        self.journal = None
+        # the owning ChainState's undo journal, or the bank's own
+        self.journal = Journal()
 
     # -- genesis seeding ---------------------------------------------------
 
@@ -120,7 +121,7 @@ class Bank:
         store = self._module(module)
         coins = normalize(dict(coins))
         if coins:
-            self._save(self.modules, module)
+            self.journal.save(self.modules, module)
             self._save_supply("totals", "cumulative_minted")
         for d, a in coins.items():
             self._credit(store, d, a)
@@ -184,13 +185,9 @@ class Bank:
             raise UnknownModule(f"module account {name!r} is not registered")
         return store
 
-    def _save(self, table: dict, key) -> None:
-        if self.journal is not None:
-            self.journal.save(table, key)
-
     def _save_supply(self, *names: str) -> None:
         for name in names:
-            self._save(vars(self.supply), name)
+            self.journal.save(vars(self.supply), name)
 
     def _take(self, table: dict, owner: str, coins: dict) -> dict:
         """Normalise `coins` and debit them from `table[owner]`, or raise untouched."""
@@ -200,7 +197,7 @@ class Bank:
             who = owner if table is self.accounts else f"module {owner}"
             raise InsufficientFunds(f"{who} cannot cover {coins}")
         if coins:
-            self._save(table, owner)
+            self.journal.save(table, owner)
             self._debit(src, coins)
         return coins
 
@@ -208,7 +205,7 @@ class Bank:
         """Debit `src[owner]` and credit `dst[recipient]`; empty coins are a no-op."""
         coins = self._take(src, owner, coins)
         if coins:
-            self._save(dst, recipient)
+            self.journal.save(dst, recipient)
             store = dst.setdefault(recipient, {})
             for d, a in coins.items():
                 self._credit(store, d, a)

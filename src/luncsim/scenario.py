@@ -61,7 +61,6 @@ class ScenarioEvent:
     at_height: int
     action: str
     payload: dict
-    order: int = 0
 
 
 @dataclass
@@ -175,7 +174,7 @@ def parse_tx(raw: dict) -> Tx:
         raise ParseError(f"bad tx: {exc}") from exc
 
 
-def parse_event(raw: dict, order: int) -> ScenarioEvent:
+def parse_event(raw: dict) -> ScenarioEvent:
     try:
         at_height = int(raw["at_height"])
         action = raw["action"]
@@ -222,7 +221,7 @@ def parse_event(raw: dict, order: int) -> ScenarioEvent:
             payload = {"target_height": int(raw["target_height"])}
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"event {action} missing field: {exc}") from exc
-    return ScenarioEvent(at_height=at_height, action=action, payload=payload, order=order)
+    return ScenarioEvent(at_height=at_height, action=action, payload=payload)
 
 
 def _count(cfg: dict, key: str, default: int) -> int:
@@ -247,8 +246,8 @@ def parse_scenario(cfg: dict) -> Scenario:
     raw_events = cfg.get("events", [])
     if not isinstance(raw_events, list):
         raise ParseError(f"events must be a list, got {raw_events!r}")
-    events = [parse_event(e, i) for i, e in enumerate(raw_events)]
-    events.sort(key=lambda e: (e.at_height, e.order))
+    # a stable sort keeps the declaration order of events at one height
+    events = sorted(map(parse_event, raw_events), key=lambda e: e.at_height)
     raw_overrides = cfg.get("precommit_overrides", {})
     if not isinstance(raw_overrides, dict):
         raise ParseError(f"precommit_overrides must be a mapping, got {raw_overrides!r}")

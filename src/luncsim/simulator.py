@@ -50,7 +50,7 @@ height starts a new run.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from operator import add
 
@@ -209,10 +209,12 @@ class Chain:
     def __init__(self, state: ChainState, scenario: Scenario):
         self.state = state
         self.scenario = scenario
-        self.events = scenario.events
+        # the chain's own copy: halt recovery deletes the events it pulls forward
+        self.events = list(scenario.events)
         self._cursor = 0
-        self._consumed: set = set()
         self._pending_upgrades: list = []
+        # idle blocks check the invariants at the multiples of this
+        self._invariant_every = scenario.invariant_interval or AUTO_INVARIANT_INTERVAL
         self.halt_heights: list = []
         self.tally_outcomes: dict = {}
         self.epoch_events: list = []
@@ -230,7 +232,7 @@ class Chain:
     # -- event plumbing ----------------------------------------------------
 
     def _next_events(self, height: int):
-        """Yield every not-yet-consumed event with at_height <= height.
+        """Yield every not-yet-run event with at_height <= height.
 
         Events are consumed one at a time as they are yielded, so when a
         `rollback-to` ends the block the events declared after it stay
@@ -240,10 +242,16 @@ class Chain:
             ev = self.events[self._cursor]
             if ev.at_height > height:
                 break
-            idx = self._cursor
             self._cursor += 1
-            if idx not in self._consumed:
-                yield ev
+            yield ev
+
+    def _run_event(self, ev, height: int) -> str | None:
+        """`_apply_event`, with an event the chain refuses raised as bad input."""
+        try:
+            return self._apply_event(ev, height)
+        except SimError as exc:
+            raise ParseError(f"{ev.action} event at height {height}: "
+                             f"{type(exc).__name__}: {exc}") from exc
 
     def _apply_event(self, ev, height: int) -> str | None:
         state = self.state
@@ -280,7 +288,10 @@ class Chain:
             if snap is None:
                 raise ParseError(f"rollback-to {target}: no snapshot stored")
             restored = snap.clone()
-            # a fork abandons the old mempool and any not-yet-fired snipers
+            # A fork abandons the old mempool and any not-yet-fired snipers.
+            # Queued upgrades are kept: an upgrade is an operator's off-chain
+            # action, as in halt recovery, so it lands at the end of the new
+            # fork's first block.
             restored.mempool = []
             for sniper in restored.snipers:
                 sniper.fired = True
@@ -338,18 +349,9 @@ class Chain:
         state = self.state
         if change.subspace == "distribution":
             params = state.distribution.params
-            fields = {
-                "community_tax": params.community_tax,
-                "base_proposer_reward": params.base_proposer_reward,
-                "bonus_proposer_reward": params.bonus_proposer_reward,
-            }
-            key_map = {
-                "communitytax": "community_tax",
-                "baseproposerreward": "base_proposer_reward",
-                "bonusproposerreward": "bonus_proposer_reward",
-            }
-            fields[key_map[change.key]] = Fraction(str(change.value))
-            state.distribution.params = dist_mod.DistributionParams(**fields)
+            # a governance key is the field name without its underscores
+            name = {f.name.replace("_", ""): f.name for f in fields(params)}[change.key]
+            state.distribution.params = replace(params, **{name: Fraction(str(change.value))})
         elif change.subspace == "staking":
             if change.key == "UnbondingPeriodBlocks":
                 state.staking.params.unbonding_period_blocks = int(change.value)
@@ -381,22 +383,16 @@ class Chain:
         remainder is stepped through. The last real step is in the same
         phase as the last block, so its proposer is the last proposer.
         """
-        st = self.state.staking
-        powers = {}
-        for addr, val in st.validators.items():
-            if val.status != staking_mod.ACTIVE:
-                continue
-            power = staking_mod.tokens_to_consensus_power(val.tokens, st.params.power_reduction)
-            if power:
-                powers[addr] = power
+        powers = {a: p for a, p in staking_mod.consensus_powers(self.state.staking).items()
+                  if p}
         if not powers:
             return None
         pr = self.state.proposer_priority
         for addr in list(pr):
             if addr not in powers:
                 del pr[addr]
-        # sorted by address, so the first of equal priorities wins the tie
-        addrs = sorted(powers)
+        # in address order, so the first of equal priorities wins the tie
+        addrs = list(powers)
         weights = [powers[a] for a in addrs]
         priority = [pr.get(a, 0) for a in addrs]
         total = sum(weights)
@@ -413,13 +409,12 @@ class Chain:
         return addrs[i]
 
     def _version_groups(self):
+        """Consensus power summed per software version."""
         st = self.state.staking
         powers: dict = {}
-        for val in st.validators.values():
-            if val.status != staking_mod.ACTIVE:
-                continue
-            power = staking_mod.tokens_to_consensus_power(val.tokens, st.params.power_reduction)
-            powers[val.software_version] = powers.get(val.software_version, 0) + power
+        for addr, power in staking_mod.consensus_powers(st).items():
+            version = st.validators[addr].software_version
+            powers[version] = powers.get(version, 0) + power
         return powers
 
     def _produce_block(self, height: int) -> ConsensusOutcome | str:
@@ -431,13 +426,7 @@ class Chain:
         self._activate_block_changes(height)
         for ev in self._next_events(height):
             activity = True
-            try:
-                outcome = self._apply_event(ev, height)
-            except SimError as exc:
-                # a scenario event that the chain refuses is bad input
-                raise ParseError(f"{ev.action} event at height {height}: "
-                                 f"{type(exc).__name__}: {exc}") from exc
-            if outcome == _ROLLED_BACK:
+            if self._run_event(ev, height) == _ROLLED_BACK:
                 return _ROLLED_BACK
         if state.snipers:
             self._fire_snipers(height)
@@ -573,11 +562,9 @@ class Chain:
             prop.pending_activations += 1
 
     def _check_invariants(self, height: int, activity: bool) -> None:
-        interval = self.scenario.invariant_interval
-        if interval > 0:
-            if height % interval == 0:
-                verify_invariants(self.state)
-        elif activity or height % AUTO_INVARIANT_INTERVAL == 0:
+        # with the automatic cadence, every block with activity is checked too
+        if height % self._invariant_every == 0 or \
+                (activity and not self.scenario.invariant_interval):
             verify_invariants(self.state)
 
     def _report_row(self) -> tuple:
@@ -607,27 +594,22 @@ class Chain:
             rows.append((first, last) + values)
 
     def _apply_one_recovery_upgrade(self) -> bool:
-        """During a halt, apply the next pending upgrade (wall-clock action)."""
-        if self._pending_upgrades:
-            validator, version = self._pending_upgrades.pop(0)
-            self.state.staking.validators[validator].software_version = version
-            log.info("halt recovery: %s upgraded to %s", validator, version)
-            return True
-        for idx in range(self._cursor, len(self.events)):
-            if idx in self._consumed:
-                continue
-            ev = self.events[idx]
-            if ev.action != "upgrade-validator":
-                continue
-            self._consumed.add(idx)
-            validator = ev.payload["validator"]
-            if validator not in self.state.staking.validators:
-                raise ParseError(f"upgrade-validator event at height {ev.at_height}: "
-                                 f"UnknownValidator: {validator}")
-            self.state.staking.validators[validator].software_version = ev.payload["version"]
-            log.info("halt recovery: %s upgraded to %s", validator, ev.payload["version"])
-            return True
-        return False
+        """During a halt, apply the next upgrade (a wall-clock operator action).
+
+        A queued upgrade goes first, else the next upgrade event is pulled forward.
+        """
+        if not self._pending_upgrades:
+            events = self.events
+            idx = next((i for i in range(self._cursor, len(events))
+                        if events[i].action == "upgrade-validator"), None)
+            if idx is None:
+                return False
+            ev = events.pop(idx)
+            self._run_event(ev, ev.at_height)
+        validator, version = self._pending_upgrades.pop(0)
+        self.state.staking.validators[validator].software_version = version
+        log.info("halt recovery: %s upgraded to %s", validator, version)
+        return True
 
     def _next_busy_height(self, end: int) -> int:
         """The first height above the current one whose block may do work.
@@ -668,8 +650,7 @@ class Chain:
         """
         state = self.state
         first = state.height + 1
-        interval = self.scenario.invariant_interval
-        every = interval if interval > 0 else AUTO_INVARIANT_INTERVAL
+        every = self._invariant_every
         for height in range(-(-first // every) * every, last + 1, every):
             self._select_proposer(height - state.height)
             state.height = height

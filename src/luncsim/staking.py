@@ -33,6 +33,7 @@ from .errors import (
     UnknownDelegation,
     UnknownValidator,
 )
+from .journal import Journal
 from .ledger import BONDED_POOL, NOT_BONDED_POOL
 
 V20 = "v20"
@@ -153,8 +154,8 @@ class StakingState:
     # Kept sorted by completion height: the unbonding period is uniform, so
     # entries are appended in completion order.
     unbonding: list = field(default_factory=list)
-    # the owning ChainState's undo journal (see state.Journal)
-    journal: object = field(default=None, repr=False, compare=False)
+    # the owning ChainState's undo journal, or a store's own
+    journal: Journal = field(default_factory=Journal, repr=False, compare=False)
 
     def canonical(self) -> dict:
         return {
@@ -179,12 +180,11 @@ def tokens_to_consensus_power(tokens: int, power_reduction: int = DEFAULT_POWER_
     return tokens // power_reduction
 
 
-def total_voting_power(st: StakingState) -> int:
-    return sum(
-        tokens_to_consensus_power(v.tokens, st.params.power_reduction)
-        for v in st.validators.values()
-        if v.status == ACTIVE
-    )
+def consensus_powers(st: StakingState) -> dict:
+    """The consensus power of every active validator, in address order."""
+    reduction = st.params.power_reduction
+    return {a: tokens_to_consensus_power(v.tokens, reduction)
+            for a, v in sorted(st.validators.items()) if v.status == ACTIVE}
 
 
 def check_power_cap(
@@ -260,8 +260,7 @@ def create_validator(
         raise DuplicateValidator(operator)
     val = Validator(operator_address=operator, tokens=0, status=ACTIVE,
                     software_version=software_version)
-    if st.journal is not None:
-        st.journal.save(st.validators, operator)
+    st.journal.save(st.validators, operator)
     st.validators[operator] = val
     return val
 
@@ -290,21 +289,16 @@ def delegate(
     if val.status != ACTIVE:
         raise UnknownValidator(f"{validator} is not active")
     if acting_version != V20 and power_cap_window_active(st.gates, height):
-        ok = check_power_cap(
-            tokens_to_consensus_power(val.tokens, st.params.power_reduction),
-            total_voting_power(st),
-            amount.amount,
-            st.params,
-        )
-        if not ok:
+        powers = consensus_powers(st)
+        if not check_power_cap(powers[validator], sum(powers.values()),
+                               amount.amount, st.params):
             raise PowerCapExceeded(
                 f"delegation of {amount.amount} would push {validator} above "
                 f"{st.params.max_delegation_power_fraction} of total power"
             )
     bank.send_account_to_module(delegator, BONDED_POOL, {amount.denom: amount.amount})
-    if st.journal is not None:
-        st.journal.save(st.validators, validator)
-        st.journal.save(st.delegations, delegator)
+    st.journal.save(st.validators, validator)
+    st.journal.save(st.delegations, delegator)
     val.tokens += amount.amount
     per_val = st.delegations.setdefault(delegator, {})
     per_val[validator] = per_val.get(validator, 0) + amount.amount
@@ -349,10 +343,9 @@ def undelegate(
         raise InsufficientShares(f"{delegator} holds {shares}, tried to unbond {amount.amount}")
     if amount.amount == 0:
         raise InvalidCoin("cannot unbond zero")
-    if st.journal is not None:
-        st.journal.save(st.delegations, delegator)
-        st.journal.save(st.validators, validator)
-        st.journal.save_len(st.unbonding)
+    st.journal.save(st.delegations, delegator)
+    st.journal.save(st.validators, validator)
+    st.journal.save_len(st.unbonding)
     remaining = shares - amount.amount
     if remaining:
         per_val[validator] = remaining

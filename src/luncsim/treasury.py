@@ -1,13 +1,15 @@
 """Tax-rate policy, epoch burn accounting, and seigniorage recycling.
 
 The treasury owns the transfer-tax rate and reward weight, each constrained
-by a policy window (rate_min/rate_max plus a per-update change bound). Burns
-executed by the fee pipeline accumulate in a per-epoch counter; at every
-epoch boundary the counted amount is minted back to the treasury, a
-reward-weight share of it is burned for good, and the remainder is paid out
-to the community pool and bonded validators. Policy updates queued by
-governance also activate at the boundary, so a new tax policy takes effect no
-earlier than the first block of the next epoch.
+by a policy window (rate_min/rate_max) that snaps the active rate into it
+when governance swaps it in. A policy's per-update change bound is kept in
+the state, but no update path applies it. Burns executed by the fee pipeline
+accumulate in a per-epoch counter; at every epoch boundary the counted
+amount is minted back to the treasury, a reward-weight share of it is burned
+for good, and the remainder is paid out to the community pool and bonded
+validators. Policy updates queued by governance also activate at the
+boundary, so a new tax policy takes effect no earlier than the first block
+of the next epoch.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from fractions import Fraction
 
 from .coins import Coin, coins_as_strings
 from .errors import MalformedProposal
+from .journal import Journal
 from .ledger import TREASURY
 
 log = logging.getLogger("luncsim.treasury")
@@ -87,8 +90,8 @@ class TreasuryState:
     epoch_burned: dict = field(default_factory=dict)
     # [(proposal_id, key, PolicyConstraints), ...] applied at the boundary.
     pending_policies: list = field(default_factory=list)
-    # the owning ChainState's undo journal (see state.Journal)
-    journal: object = field(default=None, repr=False, compare=False)
+    # the owning ChainState's undo journal, or a store's own
+    journal: Journal = field(default_factory=Journal, repr=False, compare=False)
 
     def canonical(self) -> dict:
         return {
@@ -107,26 +110,8 @@ class TreasuryState:
         }
 
 
-def set_tax_rate(ts: TreasuryState, requested: Fraction) -> Fraction:
-    """Clamp a requested rate into the policy window and the per-update bound."""
-    target = ts.tax_policy.clamp(requested)
-    lo = ts.tax_rate - ts.tax_policy.change_rate_max
-    hi = ts.tax_rate + ts.tax_policy.change_rate_max
-    ts.tax_rate = max(lo, min(hi, target))
-    return ts.tax_rate
-
-
-def set_reward_weight(ts: TreasuryState, requested: Fraction) -> Fraction:
-    target = ts.reward_policy.clamp(requested)
-    lo = ts.reward_weight - ts.reward_policy.change_rate_max
-    hi = ts.reward_weight + ts.reward_policy.change_rate_max
-    ts.reward_weight = max(lo, min(hi, target))
-    return ts.reward_weight
-
-
 def record_epoch_burn(ts: TreasuryState, coins: dict) -> None:
-    if ts.journal is not None:
-        ts.journal.save(vars(ts), "epoch_burned")
+    ts.journal.save(vars(ts), "epoch_burned")
     for d, a in coins.items():
         if a:
             ts.epoch_burned[d] = ts.epoch_burned.get(d, 0) + a

@@ -159,7 +159,6 @@ def test_tax_params_reads_treasury_state():
     p = tax_params(ts, cfg)
     assert p.tax_rate == Fraction("0.005")
     assert p.cap_for("uusd") == 42
-    assert p.tax_power_upgrade_height == 7
     assert p.exempt_denoms == frozenset({"x"})
 
 

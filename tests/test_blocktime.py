@@ -1,11 +1,6 @@
 import pytest
 
-from luncsim.blocktime import (
-    SECONDS_PER_BLOCK,
-    block_timestamp,
-    blocks_for_days,
-    blocks_for_seconds,
-)
+from luncsim.blocktime import SECONDS_PER_BLOCK, blocks_for_days, blocks_for_seconds
 
 
 def test_sixty_eight_days_of_blocks():
@@ -29,10 +24,3 @@ def test_seconds_must_divide_evenly():
     assert SECONDS_PER_BLOCK == 7
     with pytest.raises(ValueError):
         blocks_for_seconds(10)
-
-
-def test_block_timestamp_is_linear():
-    t0 = 1_650_000_000
-    assert block_timestamp(t0, 100, 100) == t0
-    assert block_timestamp(t0, 100, 101) == t0 + 7
-    assert block_timestamp(t0, 100, 1_100) == t0 + 7_000

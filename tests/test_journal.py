@@ -21,7 +21,7 @@ from luncsim.scenario import parse_scenario, parse_tx
 from luncsim.simulator import Chain, apply_txs, execute_msg
 from luncsim.state import PendingTx, state_hash, verify_invariants
 
-from helpers import chain_fixture
+from helpers import chain_fixture, fresh_bank, staking_fixture
 
 M = 1_000_000
 HEIGHT = 100
@@ -316,3 +316,31 @@ def test_apply_txs_matches_the_deepcopy_oracle(raw_txs, version):
     assert state_hash(state) == state_hash(want_state)
     assert _idle(journal)
     verify_invariants(state)
+
+
+def test_standalone_stores_branch_on_their_own_journal():
+    bank = fresh_bank([("alice", "uluna", 50 * M)])
+    st_state = staking_fixture(bank=bank, validators=[("val1", 10 * M)])
+    assert bank.journal is not st_state.journal
+    # outside a branch a store writes straight through and records nothing
+    staking_mod.delegate(bank, st_state, "alice", "val1", Coin("uluna", 2 * M), HEIGHT)
+    assert _idle(bank.journal) and _idle(st_state.journal)
+    balances, tokens = bank.balances("alice"), st_state.validators["val1"].tokens
+    delegations = copy.deepcopy(st_state.delegations)
+
+    bank_mark, staking_mark = bank.journal.begin(), st_state.journal.begin()
+    staking_mod.delegate(bank, st_state, "alice", "val1", Coin("uluna", 3 * M), HEIGHT)
+    staking_mod.undelegate(bank, st_state, "val1", "val1", Coin("uluna", M), HEIGHT)
+    bank.transfer("alice", "bob", {"uluna": M})
+    assert bank.balances("alice") != balances
+    assert st_state.validators["val1"].tokens != tokens
+    bank.journal.rollback(bank_mark)
+    bank.journal.commit()
+    st_state.journal.rollback(staking_mark)
+    st_state.journal.commit()
+
+    assert bank.balances("alice") == balances and bank.balances("bob") == {}
+    assert st_state.validators["val1"].tokens == tokens
+    assert st_state.delegations == delegations and st_state.unbonding == []
+    assert _idle(bank.journal) and _idle(st_state.journal)
+    bank.verify_supply_identity()

@@ -150,6 +150,28 @@ def test_halt_recovery_consumes_upgrades_one_at_a_time():
     assert res.blocks_committed == 30
 
 
+
+def test_one_scenario_replays_the_same_through_two_chains():
+    # the halt at 20 pulls the upgrade at 25 forward; the scenario keeps it
+    g = _genesis([("val1", 12, "v21"), ("val2", 10, "v20"), ("val3", 10, "v20")],
+                 accounts=[("alice", 100 * M)])
+    g["staking"]["gates"] = dict(NEAR_GATES)
+    scenario = parse_scenario({"name": "t", "end_height": 30, "events": [
+        _delegate_tx(20, "alice", "val1", 1 * M),
+        {"at_height": 25, "action": "upgrade-validator",
+         "validator": "val2", "version": "v21"},
+        _send_tx(27),
+    ]})
+    events = list(scenario.events)
+    first = Chain(build_state(g), scenario).run()
+    assert first.halt_heights == [20] and not first.terminal_halted
+    assert scenario.events == events
+    second = Chain(build_state(g), scenario).run()
+    assert scenario.events == events
+    assert second.final_hash == first.final_hash
+    assert second.rows == first.rows
+    assert second.tx_log == first.tx_log == {20: [("ok", "")], 27: [("ok", "")]}
+
 def test_exact_two_thirds_class_commits():
     g = _genesis([("val1", 10, "v21"), ("val2", 10, "v20"), ("val3", 10, "v20")],
                  accounts=[("alice", 100 * M)])

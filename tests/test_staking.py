@@ -23,6 +23,7 @@ from luncsim.staking import (
     V21,
     bonded_stake_of,
     check_power_cap,
+    consensus_powers,
     create_validator,
     create_validator_gate_blocks,
     delegate,
@@ -31,7 +32,6 @@ from luncsim.staking import (
     mature_unbondings,
     power_cap_window_active,
     total_bonded,
-    total_voting_power,
     undelegate,
 )
 from luncsim.ledger import BONDED_POOL, NOT_BONDED_POOL
@@ -159,7 +159,7 @@ def test_delegate_moves_tokens_to_bonded_pool():
     assert st_state.delegations["dora"]["val1"] == 3_000_000
     assert bank.module_balance(BONDED_POOL, "uluna") == 13_000_000
     assert bank.balance("dora", "uluna") == 2_000_000
-    assert total_voting_power(st_state) == 13
+    assert consensus_powers(st_state) == {"val1": 13}
     assert bonded_stake_of(st_state, "dora") == 3_000_000
     assert total_bonded(st_state) == 13_000_000
 
@@ -232,4 +232,4 @@ def test_full_undelegation_of_sole_stake_deactivates():
     st_state = staking_fixture(bank=bank, validators=[("val1", 7_000_000)])
     undelegate(bank, st_state, "val1", "val1", Coin("uluna", 7_000_000), height=5)
     assert st_state.validators["val1"].status == "inactive"
-    assert total_voting_power(st_state) == 0
+    assert consensus_powers(st_state) == {}

@@ -14,8 +14,6 @@ from luncsim.treasury import (
     epoch_transition,
     queue_policy_update,
     record_epoch_burn,
-    set_reward_weight,
-    set_tax_rate,
 )
 
 from helpers import fresh_bank, staking_fixture
@@ -46,17 +44,6 @@ def test_from_config_validates():
                                        "change_rate_max": "0"})
     with pytest.raises(MalformedProposal):
         PolicyConstraints.from_config({"rate_min": "x"})
-
-
-def test_set_tax_rate_bounded_by_change_step():
-    ts = TreasuryState(tax_policy=constraints("0", "0.02", "0.0025"),
-                       tax_rate=Fraction("0.01"))
-    # a jump past the step size is trimmed to one step
-    assert set_tax_rate(ts, Fraction("0.02")) == Fraction("0.0125")
-    assert ts.tax_rate == Fraction("0.0125")
-    assert set_tax_rate(ts, Fraction(0)) == Fraction("0.01")
-    # inside the step the request lands exactly
-    assert set_tax_rate(ts, Fraction("0.0115")) == Fraction("0.0115")
 
 
 def test_policy_activation_snaps_rate_but_allows_jump():
@@ -140,9 +127,3 @@ def test_epoch_transition_applies_queued_policies():
     out = epoch_transition(bank, ts, ds, st, height=200)
     assert out["policies_applied"] == [(7, "RewardPolicy")]
     assert ts.reward_weight == Fraction("0.5")
-
-
-def test_set_reward_weight_follows_policy_window():
-    ts = TreasuryState(reward_policy=constraints("0", "1", "0.1"),
-                       reward_weight=Fraction("0.5"))
-    assert set_reward_weight(ts, Fraction(1)) == Fraction("0.6")
