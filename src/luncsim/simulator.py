@@ -14,10 +14,12 @@ nothing is left to upgrade.
 The two version behaviors differ only in staking-message gating: the patch
 version rejects delegate/create-validator above the upgrade height forever,
 while the successor re-enables them at their revert heights and enforces the
-delegation power cap inside the protect window. Everything else -- fee
-admission, tax burning, transfers, governance -- is version-independent, so
-a block with no delegate or create-validator msg at any exec depth is
-evaluated once, whatever the version mix.
+delegation power cap inside the protect window (`staking.version_rules`).
+Everything else -- fee admission, tax burning, transfers, governance -- is
+version-independent, so a block is evaluated once, whatever the version mix,
+when it has no delegate or create-validator msg at any exec depth or when
+every version runs the same rules at its height: versions with equal rules
+give equal results and equal states, one class holding all the power.
 
 Scenario events at a height run before that block's transactions, in
 declaration order; `submit-tx` events are included at exactly their height,
@@ -442,7 +444,8 @@ class Chain:
         if pending:
             activity = True
             versions = sorted(v for v, p in version_power.items() if p)
-            if len(versions) > 1 and any(_version_sensitive(p.tx.msgs) for p in pending):
+            if len(versions) > 1 and self._rules_differ(height, versions) \
+                    and any(_version_sensitive(p.tx.msgs) for p in pending):
                 tx_results, compatible = self._apply_per_version(
                     pending, height, versions, version_power, total_power)
                 if compatible < TWO_THIRDS:
@@ -506,6 +509,11 @@ class Chain:
         if tx_results:
             self.tx_log[height] = tx_results
         return ConsensusOutcome(status=COMMITTED, height=height, proposer=proposer)
+
+    def _rules_differ(self, height: int, versions: list) -> bool:
+        """True when two of the versions run different staking rules at `height`."""
+        gates = self.state.staking.gates
+        return len({staking_mod.version_rules(gates, height, v) for v in versions}) > 1
 
     def _apply_per_version(self, pending: list, height: int, versions: list,
                            version_power: dict, total_power: int):

@@ -15,12 +15,17 @@ with more than a configured fraction (default 1/4) of total consensus power.
 The cap compares (validatorPower + delta) / (totalPower + delta) exactly with
 integer cross-multiplication; an optional compatibility mode reproduces the
 original float32 comparison instead.
+
+`version_rules` gathers these three version-dependent decisions at a height;
+the message handlers decide from it, and the block producer compares it
+across versions to tell whether they can disagree about a block at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import blocktime
 from .coins import Coin, coins_as_strings
@@ -238,6 +243,26 @@ def power_cap_window_active(gates: HeightGates, height: int) -> bool:
     return gates.delegate_power_revert_height <= height < gates.protect_power_height
 
 
+class VersionRules(NamedTuple):
+    """Every staking decision a software version makes at one height.
+
+    These are the only decisions that depend on the acting version, so two
+    versions with equal rules at a height give equal results on any txs.
+    """
+
+    delegate_blocked: bool
+    create_validator_blocked: bool
+    power_cap: bool
+
+
+def version_rules(gates: HeightGates, height: int, version: str) -> VersionRules:
+    return VersionRules(
+        delegate_blocked=delegate_gate_blocks(gates, height, version),
+        create_validator_blocked=create_validator_gate_blocks(gates, height, version),
+        power_cap=version != V20 and power_cap_window_active(gates, height),
+    )
+
+
 # -- state transitions -------------------------------------------------------
 
 
@@ -254,7 +279,7 @@ def create_validator(
     `acting_version` is the software evaluating the message and decides the
     gate; `software_version` is what the new validator will run.
     """
-    if create_validator_gate_blocks(st.gates, height, acting_version):
+    if version_rules(st.gates, height, acting_version).create_validator_blocked:
         raise MsgNotSupported(f"create-validator disabled at height {height}")
     if operator in st.validators:
         raise DuplicateValidator(operator)
@@ -279,7 +304,8 @@ def delegate(
     Check order mirrors the message handler: height gate first, then
     validator lookup, then the power cap, then funds.
     """
-    if delegate_gate_blocks(st.gates, height, acting_version):
+    rules = version_rules(st.gates, height, acting_version)
+    if rules.delegate_blocked:
         raise MsgNotSupported(f"delegate disabled at height {height}")
     if amount.denom != st.params.bond_denom:
         raise InvalidCoin(f"delegation must use bond denom {st.params.bond_denom}")
@@ -288,7 +314,7 @@ def delegate(
         raise UnknownValidator(validator)
     if val.status != ACTIVE:
         raise UnknownValidator(f"{validator} is not active")
-    if acting_version != V20 and power_cap_window_active(st.gates, height):
+    if rules.power_cap:
         powers = consensus_powers(st)
         if not check_power_cap(powers[validator], sum(powers.values()),
                                amount.amount, st.params):

@@ -294,3 +294,48 @@ def test_bad_scenario_top_level_field_exits_four(case, tmp_path, capsys):
     s = _write(tmp_path, "s.json", dict(scenario_cfg, **fields))
     assert main(["run", "--genesis", g, "--scenario", s]) == 4
     assert name in capsys.readouterr().err
+
+
+# (path into GENESIS, bad value, the field the error names)
+BAD_GENESIS = {
+    "validator-version-not-a-string": (
+        ("staking", "validators", 1, "version"), 20, "staking.validators[].version"),
+    "validator-address-a-list": (
+        ("staking", "validators", 0, "address"), ["val1"], "staking.validators[].address"),
+    "account-address-a-list": (("accounts", 0, "address"), ["alice"], "accounts[].address"),
+    "account-denom-an-int": (("accounts", 0, "denom"), 5, "accounts[].denom"),
+    "bond-denom-an-int": (("staking", "bond_denom"), 5, "staking.bond_denom"),
+    "staking-a-list": (("staking",), [], "staking"),
+    "treasury-a-list": (("treasury",), [], "treasury"),
+    "account-entry-a-string": (("accounts", 0), "alice", "accounts[] entry"),
+    "tax-caps-a-list": (("treasury", "tax_caps"), [], "treasury.tax_caps"),
+    "exempt-denoms-an-int": (("ante", "exempt_denoms"), 5, "ante.exempt_denoms"),
+    "genesis-height-not-an-integer": (("genesis_height",), "x", "genesis_height"),
+    "genesis-time-not-an-integer": (("genesis_time",), "x", "genesis_time"),
+    "tax-power-upgrade-height-not-an-integer": (
+        ("ante", "tax_power_upgrade_height"), "x", "ante.tax_power_upgrade_height"),
+    "power-reduction-zero": (("staking", "power_reduction"), 0, "staking.power_reduction"),
+    "accounts-a-string": (("accounts",), "alice", "accounts"),
+    "validator-entry-a-string": (("staking", "validators", 0), "val1",
+                                 "staking.validators[] entry"),
+    "module-account-unknown": (("module_accounts",), [
+        {"module": "Vault", "denom": "uluna", "amount": "5"}], "module_accounts[].module"),
+    "module-account-denom-a-list": (("module_accounts",), [
+        {"module": "CommunityPool", "denom": ["uluna"], "amount": "5"}],
+        "module_accounts[].denom"),
+    "tax-policy-not-a-mapping": (("treasury", "tax_policy"), 5, "treasury policy"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GENESIS))
+def test_bad_genesis_field_exits_four(case, tmp_path, capsys):
+    path, value, name = BAD_GENESIS[case]
+    genesis = json.loads(json.dumps(GENESIS))
+    node = genesis
+    for key in path[:-1]:
+        node = node[key] if isinstance(node, list) else node.setdefault(key, {})
+    node[path[-1]] = value
+    g = _write(tmp_path, "g.json", genesis)
+    s = _write(tmp_path, "s.json", dict(HALTING, strict_halt=False))
+    assert main(["run", "--genesis", g, "--scenario", s]) == 4
+    assert name in capsys.readouterr().err

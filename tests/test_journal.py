@@ -142,15 +142,28 @@ def test_exec_with_failing_inner_delegate_leaves_the_post_ante_state():
     verify_invariants(state)
 
 
-@pytest.mark.parametrize("val2_version", ["v21", "v20"])
-def test_journal_is_empty_after_every_tx_and_every_block(val2_version, monkeypatch):
+FAR_GATES = {"staking_power_upgrade_height": 10**9,
+             "delegate_power_revert_height": 10**9 + 1,
+             "staking_power_revert_height": 2 * 10**9}
+# past the delegate revert at 10 the two versions' delegate rules differ;
+# the zero-width protect window keeps the power cap out
+NEAR_GATES = {"staking_power_upgrade_height": 5,
+              "delegate_power_revert_height": 10,
+              "staking_power_revert_height": 10**6,
+              "protect_power_height": 10}
+
+
+def _watch_journal(val2_version, gates, monkeypatch):
+    """Step a chain with two tx blocks, checking the journal after every block.
+
+    Returns, per ante call, the journal's (depth, log length).
+    val1 holds 3/4 of the power, so its v21 results commit whatever val2 runs.
+    """
     g = {"chain_id": "t", "genesis_height": 0,
          "accounts": [{"address": a, "denom": "uluna", "amount": str(50 * M)}
                       for a in ACCOUNTS],
-         "staking": {"gates": {"staking_power_upgrade_height": 10**9,
-                               "delegate_power_revert_height": 10**9 + 1,
-                               "staking_power_revert_height": 2 * 10**9},
-                     "validators": [{"address": "val1", "tokens": str(10 * M)},
+         "staking": {"gates": dict(gates),
+                     "validators": [{"address": "val1", "tokens": str(30 * M)},
                                     {"address": "val2", "tokens": str(10 * M),
                                      "version": val2_version}]},
          "ante": {"gas_price": "0"}}
@@ -160,9 +173,9 @@ def test_journal_is_empty_after_every_tx_and_every_block(val2_version, monkeypat
                  "amount": {"denom": "uluna", "amount": str(M)}}], payer="carol", fee=0),
            _tx([{"kind": "undelegate", "delegator": "carol", "validator": "val2",
                  "amount": {"denom": "uluna", "amount": str(2 * M)}}], payer="carol", fee=0)]
-    s = {"name": "t", "end_height": 12, "events": [
+    s = {"name": "t", "end_height": 20, "events": [
         {"at_height": h, "action": "submit-tx", "tx": tx}
-        for h in (3, 7) for tx in txs]}
+        for h in (13, 17) for tx in txs]}
     chain = Chain(build_state(g), parse_scenario(s))
     journal = chain.state.journal
     seen = []
@@ -173,18 +186,30 @@ def test_journal_is_empty_after_every_tx_and_every_block(val2_version, monkeypat
         return original(*args)
 
     monkeypatch.setattr(ante_mod, "run_ante_pipeline", watched)
-    while chain.state.height < 12:
+    while chain.state.height < 20:
         chain.step()
         assert _idle(journal)
+    monkeypatch.setattr(ante_mod, "run_ante_pipeline", original)
+    assert chain.tx_log[13] == [("ok", ""), ("failed", "InsufficientFunds"),
+                                ("ok", ""), ("failed", "InsufficientShares")]
+    return seen
+
+
+@pytest.mark.parametrize("val2_version", ["v21", "v20"])
+def test_journal_is_empty_after_every_tx_and_every_block(val2_version, monkeypatch):
+    seen = _watch_journal(val2_version, NEAR_GATES, monkeypatch)
     if val2_version == "v21":
         # one version: each tx opens its own branch on an empty log
-        assert seen == [(1, 0)] * (2 * len(txs))
+        assert seen == [(1, 0)] * (2 * 4)
     else:
-        # two versions: each tx branches inside the version's branch
-        assert len(seen) == 2 * 2 * len(txs)
+        # two versions with different rules: each tx branches inside the
+        # version's branch
+        assert len(seen) == 2 * 2 * 4
         assert {depth for depth, _ in seen} == {2}
-    assert chain.tx_log[3] == [("ok", ""), ("failed", "InsufficientFunds"),
-                               ("ok", ""), ("failed", "InsufficientShares")]
+        # with the gates out of reach both versions run the same rules, so
+        # each block is evaluated once, like a one-version block
+        seen = _watch_journal(val2_version, FAR_GATES, monkeypatch)
+        assert seen == [(1, 0)] * (2 * 4)
 
 
 def _version_oracle(state, pending, versions, power):

@@ -410,20 +410,29 @@ def _count_evaluations(monkeypatch):
 
 def test_version_insensitive_block_is_evaluated_once(monkeypatch):
     from luncsim import simulator
-    g = _genesis([("val1", 10, "v21"), ("val2", 10, "v20")],
-                 accounts=[("alice", 10 * M)])
-    s = {"name": "t", "end_height": 12, "events": [
-        _send_tx(5), _send_tx(5, recipient="carol", amount=20 * M),
-        _delegate_tx(8, "alice", "val1", 1 * M)]}
+    # past the delegate revert at 10 v20 still rejects delegations and v21
+    # does not; val1 (v21) holds 2/3 of the power, so its results commit
+    validators = [("val1", 20, "v21"), ("val2", 10, "v20")]
+    g = _genesis(validators, accounts=[("alice", 10 * M)], gates=NEAR_GATES)
+    s = {"name": "t", "end_height": 22, "events": [
+        _send_tx(15), _send_tx(15, recipient="carol", amount=20 * M),
+        _delegate_tx(18, "alice", "val1", 1 * M)]}
     calls = _count_evaluations(monkeypatch)
     once = _run(g, s)
-    assert calls == {5: 1, 8: 2}      # the plain sends run once, the delegate per version
+    assert calls == {15: 1, 18: 2}    # the plain sends run once, the delegate per version
 
     calls.clear()
     monkeypatch.setattr(simulator, "_version_sensitive", lambda msgs: True)
     per_version = _run(g, s)
-    assert calls == {5: 2, 8: 2}
+    assert calls == {15: 2, 18: 2}
     assert once.tx_log == per_version.tx_log == {
-        5: [("ok", ""), ("failed", "InsufficientFunds")], 8: [("ok", "")]}
+        15: [("ok", ""), ("failed", "InsufficientFunds")], 18: [("ok", "")]}
     assert once.rows == per_version.rows
     assert once.final_hash == per_version.final_hash
+
+    # with the gates out of reach both versions run the same rules at every
+    # height, so even a version-sensitive block is evaluated once
+    calls.clear()
+    far = _run(_genesis(validators, accounts=[("alice", 10 * M)]), s)
+    assert calls == {15: 1, 18: 1}
+    assert far.tx_log == once.tx_log
