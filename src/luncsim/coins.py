@@ -60,10 +60,16 @@ def coins_ge(a: dict, b: dict) -> bool:
 
 def coins_from_config(entries) -> dict:
     """Parse ``[{"denom": ..., "amount": ...}, ...]`` (amounts int or str)."""
+    if type(entries) is not list:
+        raise ParseError(f"a coin list must be a list, got {entries!r}")
     out: dict = {}
     try:
         for e in entries:
-            out[e["denom"]] = out.get(e["denom"], 0) + int(e["amount"])
+            denom, amount = e["denom"], e["amount"]
+            if type(denom) is not str or type(amount) not in (int, str):
+                raise ParseError(f"coin list entry {e!r} needs a string denom "
+                                 f"and an integer amount")
+            out[denom] = out.get(denom, 0) + int(amount)
         return normalize(out)
     except (KeyError, ValueError, TypeError) as exc:
         raise ParseError(f"bad coin list entry: {exc}") from exc

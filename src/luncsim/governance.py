@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import MalformedProposal, StillInVoting
+from .errors import MalformedProposal, ParseError, StillInVoting
+from .inputs import fraction, integer, read
 from .journal import Journal
 from . import staking as staking_mod
 from . import treasury as treasury_mod
@@ -135,44 +136,28 @@ class GovernanceState:
 
 
 def _validate_change(raw: dict) -> ParamChange:
+    """One change of a param-change proposal; a bad one is a MalformedProposal."""
     try:
-        subspace = raw["subspace"]
-        key = raw["key"]
-        value = raw["value"]
-    except (KeyError, TypeError) as exc:
-        raise MalformedProposal(f"change needs subspace/key/value: {raw!r}") from exc
-    keys = PARAM_KEYS.get(subspace)
-    if keys is None:
-        raise MalformedProposal(f"unknown subspace {subspace!r}")
-    if key not in keys:
-        raise MalformedProposal(f"unknown key {key!r} for subspace {subspace!r}")
-    if subspace == "treasury":
-        # validates shape eagerly so a bad policy fails at submission
-        treasury_mod.PolicyConstraints.from_config(value)
-    elif subspace == "distribution":
-        try:
-            v = Fraction(str(value))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise MalformedProposal(f"bad fraction {value!r}") from exc
-        if not 0 <= v <= 1:
-            raise MalformedProposal(f"{key} must lie in [0, 1]")
-    elif subspace == "transfer":
-        if not isinstance(value, bool) and str(value).lower() not in ("true", "false"):
-            raise MalformedProposal(f"{key} wants a boolean, got {value!r}")
-    elif subspace == "staking":
-        if key == "UnbondingPeriodBlocks":
-            try:
-                if int(value) <= 0:
-                    raise ValueError
-            except (ValueError, TypeError) as exc:
-                raise MalformedProposal(f"bad block count {value!r}") from exc
-        else:
-            try:
-                v = Fraction(str(value))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise MalformedProposal(f"bad fraction {value!r}") from exc
-            if not 0 < v <= 1:
-                raise MalformedProposal("MaxDelegationPowerFraction must lie in (0, 1]")
+        subspace = read(raw, "subspace", str)
+        key = read(raw, "key", str)
+        value = read(raw, "value")
+        if subspace not in PARAM_KEYS:
+            raise ParseError(f"unknown subspace {subspace!r}")
+        if key not in PARAM_KEYS[subspace]:
+            raise ParseError(f"unknown key {key!r} for subspace {subspace!r}")
+        if subspace == "treasury":
+            # validates shape eagerly so a bad policy fails at submission
+            treasury_mod.PolicyConstraints.from_config(value)
+        elif subspace == "distribution":
+            fraction(value, key, 0, 1)
+        elif subspace == "transfer":
+            read(raw, "value", bool, name=key)
+        elif key == "UnbondingPeriodBlocks":
+            integer(value, key, low=1)
+        elif fraction(value, key, 0, 1) == 0:
+            raise ParseError(f"{key} must lie in (0, 1], got {value!r}")
+    except ParseError as exc:
+        raise MalformedProposal(str(exc)) from exc
     return ParamChange(subspace=subspace, key=key, value=value)
 
 

@@ -360,9 +360,7 @@ class Chain:
             else:
                 state.staking.params.max_delegation_power_fraction = Fraction(str(change.value))
         elif change.subspace == "transfer":
-            v = change.value if isinstance(change.value, bool) \
-                else str(change.value).lower() == "true"
-            state.transfer_params[change.key] = v
+            state.transfer_params[change.key] = change.value
 
     def _mark_activated(self, proposal_id: int) -> None:
         prop = self.state.governance.proposals.get(proposal_id)

@@ -1,8 +1,8 @@
 """Tax-rate policy, epoch burn accounting, and seigniorage recycling.
 
 The treasury owns the transfer-tax rate and reward weight, each constrained
-by a policy window (rate_min/rate_max) that snaps the active rate into it
-when governance swaps it in. A policy's per-update change bound is kept in
+by a policy window (0 <= rate_min <= rate_max <= 1) that snaps the active
+rate into it when governance swaps it in. A policy's per-update change bound is kept in
 the state, but no update path applies it. Burns executed by the fee pipeline
 accumulate in a per-epoch counter; at every epoch boundary the counted
 amount is minted back to the treasury, a reward-weight share of it is burned
@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coins import Coin, coins_as_strings
-from .errors import MalformedProposal
+from .errors import MalformedProposal, ParseError
+from .inputs import coin, fraction, read
 from .journal import Journal
 from .ledger import TREASURY
 
@@ -42,8 +43,8 @@ class PolicyConstraints:
     change_rate_max: Fraction
 
     def __post_init__(self):
-        if self.rate_min < 0 or self.rate_max < self.rate_min:
-            raise ValueError("policy requires 0 <= rate_min <= rate_max")
+        if not 0 <= self.rate_min <= self.rate_max <= 1:
+            raise ValueError("policy requires 0 <= rate_min <= rate_max <= 1")
         if self.change_rate_max < 0:
             raise ValueError("change_rate_max must be non-negative")
 
@@ -60,17 +61,14 @@ class PolicyConstraints:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "PolicyConstraints":
-        if not isinstance(cfg, dict):
-            raise MalformedProposal(f"policy constraints must be a mapping, got {cfg!r}")
         try:
-            cap_cfg = cfg.get("cap", {"denom": "usdr", "amount": 0})
             return cls(
-                rate_min=Fraction(str(cfg["rate_min"])),
-                rate_max=Fraction(str(cfg["rate_max"])),
-                cap=Coin(cap_cfg["denom"], int(cap_cfg["amount"])),
-                change_rate_max=Fraction(str(cfg.get("change_rate_max", 0))),
+                rate_min=fraction(read(cfg, "rate_min"), "rate_min"),
+                rate_max=fraction(cfg.get("rate_max"), "rate_max"),
+                cap=coin(cfg.get("cap", {"denom": "usdr", "amount": 0}), "cap"),
+                change_rate_max=fraction(cfg.get("change_rate_max", 0), "change_rate_max"),
             )
-        except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+        except (ParseError, ValueError) as exc:   # ValueError: the bounds, from __post_init__
             raise MalformedProposal(f"bad policy constraints: {exc}") from exc
 
 

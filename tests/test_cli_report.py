@@ -176,6 +176,22 @@ MALFORMED_MSGS = {
         {"kind": "submit-proposal", "proposer": "alice",
          "proposal": {"kind": "param-change", "changes": 5}},
         "MalformedProposal"),
+    "change-subspace-a-list": (
+        {"kind": "submit-proposal", "proposer": "alice",
+         "proposal": {"kind": "param-change", "changes": [
+             {"subspace": ["distribution"], "key": "communitytax", "value": "0.1"}]}},
+        "MalformedProposal"),
+    "change-key-a-mapping": (
+        {"kind": "submit-proposal", "proposer": "alice",
+         "proposal": {"kind": "param-change", "changes": [
+             {"subspace": "distribution", "key": {"communitytax": 1}, "value": "0.1"}]}},
+        "MalformedProposal"),
+    "reward-policy-above-one": (
+        {"kind": "submit-proposal", "proposer": "alice",
+         "proposal": {"kind": "param-change", "changes": [
+             {"subspace": "treasury", "key": "RewardPolicy",
+              "value": {"rate_min": "2", "rate_max": "3"}}]}},
+        "MalformedProposal"),
 }
 
 
@@ -249,6 +265,11 @@ BAD_EVENTS = {
     "upgrade-unknown-validator": (
         {"at_height": 3, "action": "upgrade-validator", "validator": "ghost",
          "version": "v21"}, "UnknownValidator"),
+    "proposal-change-subspace-a-list": (
+        {"at_height": 3, "action": "submit-proposal", "proposer": "alice",
+         "proposal": {"kind": "param-change", "changes": [
+             {"subspace": ["distribution"], "key": "communitytax", "value": "0.1"}]}},
+        "MalformedProposal"),
 }
 
 
@@ -283,6 +304,19 @@ BAD_TOP_LEVEL_FIELDS = {
     "precommit-overrides-not-a-mapping": ({"precommit_overrides": [1]}, "precommit_overrides"),
     "events-not-a-list": ({"events": 5}, "events"),
     "strict-halt-not-a-bool": ({"strict_halt": "false"}, "strict_halt"),
+    "declared-fee-denom-an-int": ({"events": [
+        {"at_height": 3, "action": "submit-tx", "tx": {
+            "fee_payer": "alice",
+            "declared_fee": [{"denom": 5, "amount": "1"}, {"denom": "uluna", "amount": "100"}],
+            "msgs": [{"kind": "send", "sender": "alice", "recipient": "bob",
+                      "coins": [{"denom": "uluna", "amount": "5"}]}]}}]}, "denom"),
+    "sniper-delegator-empty": ({"events": [
+        {"at_height": 3, "action": "sniper-arm", "target_height": 4, "delegator": "",
+         "validator": "val1", "amount": {"denom": "uluna", "amount": "1000"}}]}, "delegator"),
+    "sniper-gas-limit-negative": ({"events": [
+        {"at_height": 3, "action": "sniper-arm", "target_height": 4, "delegator": "alice",
+         "validator": "val1", "amount": {"denom": "uluna", "amount": "1000"},
+         "gas_limit": -1}]}, "gas_limit"),
 }
 
 
@@ -324,6 +358,13 @@ BAD_GENESIS = {
         {"module": "CommunityPool", "denom": ["uluna"], "amount": "5"}],
         "module_accounts[].denom"),
     "tax-policy-not-a-mapping": (("treasury", "tax_policy"), 5, "treasury policy"),
+    "reward-weight-above-one": (("treasury", "reward_weight"), "2", "treasury.reward_weight"),
+    "tax-rate-negative": (("treasury", "tax_rate"), "-1", "treasury.tax_rate"),
+    "float32-power-cap-a-string": (("staking", "float32_power_cap"), "false",
+                                   "staking.float32_power_cap"),
+    "send-enabled-a-string": (("transfer", "SendEnabled"), "false", "transfer.SendEnabled"),
+    "gas-denom-a-list": (("ante", "gas_denom"), ["uluna"], "ante.gas_denom"),
+    "chain-id-a-list": (("chain_id",), ["x"], "chain_id"),
 }
 
 
