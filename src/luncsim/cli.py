@@ -12,11 +12,11 @@ import json
 import logging
 import os
 import sys
-from fractions import Fraction
 
 from .errors import ChainHalted, InvariantViolation, ParseError, SimError
 from .fees import estimate_fee, simple_tax_params
 from .genesis import build_state, load_genesis_file
+from .inputs import fraction
 from .report import write_reports
 from .scenario import load_scenario_file, parse_scenario
 from .simulator import run_scenario
@@ -119,7 +119,7 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_estimate_fee(args) -> int:
-    params = simple_tax_params(Fraction(args.rate), cap=args.cap)
+    params = simple_tax_params(fraction(args.rate, "--rate", 0, 1), cap=args.cap)
     quote = estimate_fee(args.amount, args.denom, args.gas, params)
     json.dump(quote.as_dict(), sys.stdout, indent=2)
     sys.stdout.write("\n")

@@ -59,7 +59,8 @@ def coins_ge(a: dict, b: dict) -> bool:
 
 
 def coins_from_config(entries) -> dict:
-    """Parse ``[{"denom": ..., "amount": ...}, ...]`` (amounts int or str)."""
+    """Parse ``[{"denom": ..., "amount": ...}, ...]`` (amounts int or str) into a
+    coin set: a zero sum is dropped, a negative one refused."""
     if type(entries) is not list:
         raise ParseError(f"a coin list must be a list, got {entries!r}")
     out: dict = {}
@@ -70,9 +71,11 @@ def coins_from_config(entries) -> dict:
                 raise ParseError(f"coin list entry {e!r} needs a string denom "
                                  f"and an integer amount")
             out[denom] = out.get(denom, 0) + int(amount)
-        return normalize(out)
     except (KeyError, ValueError, TypeError) as exc:
         raise ParseError(f"bad coin list entry: {exc}") from exc
+    if min(out.values(), default=0) < 0:
+        raise ParseError(f"bad coin list entry: a negative amount in {out}")
+    return {d: a for d, a in out.items() if a} if 0 in out.values() else out
 
 
 def coins_as_strings(cs: dict) -> dict:

@@ -43,10 +43,12 @@ block one.
 
 Every field is read through `inputs`. Anything that does not fit this
 schema is a ParseError naming the field: a section of the wrong type; an
-address, denom, version, `chain_id` or `gas_denom` that is not a string; a
-boolean that is not a JSON boolean; an integer that does not parse; a zero
-`power_reduction` or `epoch_length_blocks`; a negative amount or
-`gas_price`; a `tax_rate` or `reward_weight` outside [0, 1].
+address, denom (of every account entry, zero amounts too), version,
+`chain_id` or `gas_denom` that is not a string; a boolean that is not a JSON
+boolean; an integer that does not parse; a zero `power_reduction` or
+`epoch_length_blocks`; a negative amount or `gas_price`; a `tax_rate` or
+`reward_weight` outside [0, 1]; a rational longer than 100 characters or
+with a decimal exponent above 400 in size.
 """
 
 from __future__ import annotations
@@ -68,21 +70,6 @@ from .staking import (
 from .state import ChainState
 from .treasury import PolicyConstraints, TreasuryState
 from . import treasury as treasury_mod
-
-
-def _string_keys(table, label: str) -> None:
-    """Every key of `table`, or item of a list, is a string: one pass in C."""
-    if not set(map(type, table)) <= {str}:
-        bad = next(k for k in table if not isinstance(k, str))
-        raise ParseError(f"{label} must be a string, got {bad!r}")
-
-
-def _bad_entry(entry) -> ParseError:
-    """The error for an account whose credit raised: its shape, address or denom."""
-    if not isinstance(entry, dict):
-        return ParseError(f"accounts[] entry must be a mapping, got {entry!r}")
-    key = "address" if not isinstance(entry["address"], str) else "denom"
-    return ParseError(f"accounts[].{key} must be a string, got {entry[key]!r}")
 
 
 def load_genesis_file(path: str) -> dict:
@@ -130,16 +117,29 @@ def build_state(cfg: dict) -> ChainState:
     staking_state = StakingState(gates=gates, params=params)
 
     bank = Bank(DEFAULT_MODULE_ACCOUNTS)
-    for entry in read(cfg, "accounts", list, []):
-        try:
-            bank.genesis_credit_account(entry["address"], entry["denom"],
-                                        integer(entry["amount"], "accounts[].amount", low=0))
-        except KeyError as exc:
-            raise ParseError(f"account entry missing {exc}") from exc
-        except TypeError as exc:   # an entry that is no mapping, an unhashable key
-            raise _bad_entry(entry) from exc
-    _string_keys(bank.accounts, "accounts[].address")
-    _string_keys(bank.supply.totals, "accounts[].denom")
+    balances: dict = {}
+    totals: dict = {}
+    try:   # one pass, converting inline: `integer` is called only to raise its error
+        for entry in read(cfg, "accounts", list, []):
+            address, denom, amount = entry["address"], entry["denom"], entry["amount"]
+            if type(amount) is str:
+                try:
+                    amount = int(amount)
+                except ValueError:
+                    pass
+            if (type(amount) is not int or amount < 0
+                    or type(address) is not str or type(denom) is not str):
+                integer(entry["amount"], "accounts[].amount", low=0)
+                key = "address" if type(address) is not str else "denom"
+                raise ParseError(f"accounts[].{key} must be a string, got {entry[key]!r}")
+            coins = balances.setdefault(address, {})
+            coins[denom] = coins.get(denom, 0) + amount
+            totals[denom] = totals.get(denom, 0) + amount
+    except KeyError as exc:
+        raise ParseError(f"account entry missing {exc}") from exc
+    except TypeError as exc:   # an entry that is no mapping
+        raise ParseError(f"accounts[] entry must be a mapping, got {entry!r}") from exc
+    bank.genesis_credit_accounts(balances, totals)
     for entry in read(cfg, "module_accounts", list, []):
         module = read(entry, "module", str, name="module_accounts[].module")
         try:
@@ -208,7 +208,8 @@ def build_state(cfg: dict) -> ChainState:
 
     ante_raw = read(cfg, "ante", dict, {})
     exempt = read(ante_raw, "exempt_denoms", list, ["stake"], name="ante.exempt_denoms")
-    _string_keys(exempt, "ante.exempt_denoms[]")
+    if not set(map(type, exempt)) <= {str}:
+        raise ParseError(f"ante.exempt_denoms[] must be strings, got {exempt!r}")
     ante_cfg = AnteConfig(
         tax_power_upgrade_height=integer(ante_raw.get("tax_power_upgrade_height", 0),
                                          "ante.tax_power_upgrade_height"),

@@ -18,6 +18,10 @@ from .errors import ParseError
 
 REQUIRED = object()  # `read`'s default: the field must be present
 
+# `fraction` refuses longer text or a larger decimal exponent before it parses:
+# "1e-1000000" has a 3.3-million-bit denominator. Every finite double fits.
+MAX_RATIONAL_CHARS, MAX_EXPONENT = 100, 400
+
 _TYPE_NAMES = {str: "a string", bool: "true or false", dict: "a mapping", list: "a list"}
 
 
@@ -67,7 +71,12 @@ def integer(value, name: str, low: int | None = None) -> int:
 def fraction(value, name: str, low=None, high=None) -> Fraction:
     """A JSON number or a string such as "0.012" or "3/250", within [low, high]."""
     try:
-        f = Fraction(str(value))   # str() of a bool, null or container never parses
+        text = str(value)   # str() of a bool, null or container never parses
+        if (len(text) > MAX_RATIONAL_CHARS
+                or abs(int(text.lower().partition("e")[2] or 0)) > MAX_EXPONENT):
+            raise ParseError(f"{name} must be at most {MAX_RATIONAL_CHARS} characters with an "
+                             f"exponent in [-{MAX_EXPONENT}, {MAX_EXPONENT}], got {value!r}")
+        f = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{name} must be a rational, got {value!r}") from exc
     if (low is not None and f < low) or (high is not None and f > high):

@@ -74,6 +74,14 @@ class Bank:
         self._bump(self.supply.totals, denom, amount)
         self._bump(self.supply.genesis_totals, denom, amount)
 
+    def genesis_credit_accounts(self, balances: dict, totals: dict) -> None:
+        """Adopt {address: {denom: amount >= 0}} as the accounts of a bank with
+        none; `totals` holds each denom's sum over them."""
+        self.accounts = balances
+        for d, a in totals.items():
+            self._bump(self.supply.totals, d, a)
+            self._bump(self.supply.genesis_totals, d, a)
+
     def genesis_credit_module(self, name: str, denom: str, amount: int) -> None:
         self._credit(self._module(name), denom, amount)
         self._bump(self.supply.totals, denom, amount)

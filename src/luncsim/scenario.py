@@ -71,10 +71,13 @@ class Scenario:
     precommit_overrides: dict = field(default_factory=dict)
 
 
+_KINDS = {kind.value: kind for kind in MsgKind}
+
+
 def parse_msg(raw: dict) -> Msg:
     try:
-        kind = MsgKind(raw["kind"])
-    except (KeyError, ValueError) as exc:
+        kind = _KINDS[raw["kind"]]
+    except (KeyError, TypeError) as exc:   # no kind, an unknown one, or no mapping
         raise ParseError(f"bad msg kind in {raw!r}") from exc
     try:
         if kind == MsgKind.SEND:

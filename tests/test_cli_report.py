@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 
 import pytest
 
@@ -144,6 +145,20 @@ def test_cli_estimate_fee(capsys):
     assert quote["total_fee"] == "12250"
     # non-native denominations are refused without a traceback
     assert main(["estimate-fee", "--amount", "5", "--denom", "wbtc"]) == 1
+
+
+@pytest.mark.parametrize("rate", ["x", "2"])
+def test_cli_estimate_fee_rate_is_a_rate(rate, capsys):
+    assert main(["estimate-fee", "--amount", "5", "--rate", rate]) == 4
+    assert "--rate" in capsys.readouterr().err
+
+
+def test_oversized_decimal_is_refused_before_it_is_parsed(tmp_path):
+    g = _write(tmp_path, "g.json", dict(GENESIS, treasury={"tax_rate": "1e-1000000"}))
+    s = _write(tmp_path, "s.json", dict(HALTING, strict_halt=False))
+    t0 = time.perf_counter()
+    assert main(["run", "--genesis", g, "--scenario", s]) == 4
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_cli_log_env_accepted(tmp_path, monkeypatch, capsys):
@@ -365,6 +380,12 @@ BAD_GENESIS = {
     "send-enabled-a-string": (("transfer", "SendEnabled"), "false", "transfer.SendEnabled"),
     "gas-denom-a-list": (("ante", "gas_denom"), ["uluna"], "ante.gas_denom"),
     "chain-id-a-list": (("chain_id",), ["x"], "chain_id"),
+    # a zero amount leaves no supply total, so only the entry itself shows the denom
+    "account-zero-amount-denom-an-int": (("accounts",), [
+        {"address": "a", "denom": 5, "amount": 0},
+        {"address": "a", "denom": "uluna", "amount": "10"}], "accounts[].denom"),
+    "tax-rate-oversized-exponent": (("treasury", "tax_rate"), "1e-1000000",
+                                    "treasury.tax_rate"),
 }
 
 

@@ -1,9 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from luncsim.errors import ParseError
 from luncsim.genesis import build_state, load_genesis_file
+from luncsim.inputs import fraction
 from luncsim.scenario import load_scenario_file, parse_scenario
 from luncsim.staking import mainnet_gates
 
@@ -125,3 +127,13 @@ def test_precommit_override_parsing():
     with pytest.raises(ParseError):
         parse_scenario({"name": "s", "end_height": 10, "events": [],
                         "precommit_overrides": {"5": "0.5"}})
+
+
+def test_rational_size_is_bounded_before_parsing():
+    # every finite JSON number fits the bound
+    assert fraction(5e-324, "r") == Fraction("5e-324")
+    assert fraction(1.7976931348623157e308, "r") == Fraction("1.7976931348623157e308")
+    assert fraction("1E-4_00", "r") == Fraction(1, 10**400)
+    for text in ("1e-401", "1e401", "1e-1000000", "0." + "0" * 99 + "1", "1/" + "3" * 99):
+        with pytest.raises(ParseError, match="at most"):
+            fraction(text, "r")
