@@ -60,7 +60,8 @@ def coins_ge(a: dict, b: dict) -> bool:
 
 def coins_from_config(entries) -> dict:
     """Parse ``[{"denom": ..., "amount": ...}, ...]`` (amounts int or str) into a
-    coin set: a zero sum is dropped, a negative one refused."""
+    coin set: a negative entry is refused, even where another entry of its
+    denom covers it, and a zero sum is dropped."""
     if type(entries) is not list:
         raise ParseError(f"a coin list must be a list, got {entries!r}")
     out: dict = {}
@@ -70,11 +71,12 @@ def coins_from_config(entries) -> dict:
             if type(denom) is not str or type(amount) not in (int, str):
                 raise ParseError(f"coin list entry {e!r} needs a string denom "
                                  f"and an integer amount")
-            out[denom] = out.get(denom, 0) + int(amount)
+            amount = int(amount)
+            if amount < 0:
+                raise ParseError(f"bad coin list entry: a negative amount in {e!r}")
+            out[denom] = out.get(denom, 0) + amount
     except (KeyError, ValueError, TypeError) as exc:
         raise ParseError(f"bad coin list entry: {exc}") from exc
-    if min(out.values(), default=0) < 0:
-        raise ParseError(f"bad coin list entry: a negative amount in {out}")
     return {d: a for d, a in out.items() if a} if 0 in out.values() else out
 
 

@@ -174,13 +174,20 @@ class Bank:
                     f"balance sum broken for {d}: total {total} != held {held.get(d, 0)}"
                 )
 
-    def canonical(self) -> dict:
+    def account_entries(self):
+        """The account table as hashed: (address, balance with string amounts)
+        in address order, empty balances skipped."""
+        accounts = self.accounts
+        for addr in sorted(accounts):
+            bal = accounts[addr]
+            if bal:
+                yield addr, coins_as_strings(bal)
+
+    def canonical(self, accounts: bool = True) -> dict:
+        """`accounts=False` leaves the account table empty, for a stream of
+        `account_entries` to fill in."""
         return {
-            "accounts": {
-                addr: coins_as_strings(bal)
-                for addr, bal in sorted(self.accounts.items())
-                if bal
-            },
+            "accounts": dict(self.account_entries()) if accounts else {},
             "modules": {name: coins_as_strings(bal) for name, bal in sorted(self.modules.items())},
             "supply": self.supply.canonical(),
         }

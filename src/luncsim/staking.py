@@ -23,6 +23,7 @@ across versions to tell whether they can disagree about a block at all.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -192,6 +193,16 @@ def consensus_powers(st: StakingState) -> dict:
             for a, v in sorted(st.validators.items()) if v.status == ACTIVE}
 
 
+def _float32(x) -> float:
+    """`x` rounded to the nearest float32, `inf` past its range.
+
+    A quotient of two float32s rounded first to a double and then to a
+    float32 is the correctly rounded float32 quotient, since 53 >= 2 * 24 + 2
+    (Figueroa, "When is double rounding innocuous?", 1995).
+    """
+    return struct.unpack("f", struct.pack("f", float(x)))[0]
+
+
 def check_power_cap(
     validator_power: int,
     total_power: int,
@@ -202,7 +213,8 @@ def check_power_cap(
 
     Compares (validatorPower + d) / (totalPower + d) against the configured
     maximum with d = deltaTokens // powerReduction. Exact by default; the
-    float32 mode mirrors the original single-precision comparison.
+    float32 mode mirrors the original single-precision comparison; it refuses
+    a power of 2**1024 or more, which no float can hold.
     """
     d = tokens_to_consensus_power(delta_tokens, params.power_reduction)
     new_val = validator_power + d
@@ -210,10 +222,11 @@ def check_power_cap(
     if new_total == 0:
         return True
     if params.float32_power_cap:
-        import numpy as np
-
-        frac = np.float32(new_val) / np.float32(new_total)
-        return not bool(frac > np.float32(float(params.max_delegation_power_fraction)))
+        try:
+            frac = _float32(_float32(new_val) / _float32(new_total))
+        except OverflowError:
+            return False
+        return not frac > _float32(params.max_delegation_power_fraction)
     cap = params.max_delegation_power_fraction
     # fraction > cap  <=>  new_val * cap.den > cap.num * new_total
     return not (new_val * cap.denominator > cap.numerator * new_total)

@@ -18,6 +18,7 @@ import copy
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .ante import AnteConfig, Tx
 from .coins import Coin
@@ -103,14 +104,16 @@ class ChainState:
         """A full deep copy; only rollback snapshots need one."""
         return copy.deepcopy(self)
 
-    def canonical(self) -> dict:
+    def canonical(self, accounts: bool = True) -> dict:
+        """What `state_hash` commits to; `accounts=False` leaves the bank's
+        account table empty, for `state_hash` to stream."""
         return {
             "chain_id": self.chain_id,
             "genesis_height": self.genesis_height,
             "genesis_time": self.genesis_time,
             "height": self.height,
             "halted": self.halted,
-            "bank": self.bank.canonical(),
+            "bank": self.bank.canonical(accounts),
             "staking": self.staking.canonical(),
             "treasury": self.treasury.canonical(),
             "distribution": self.distribution.canonical(),
@@ -132,10 +135,45 @@ class ChainState:
         }
 
 
+# accounts serialised per `_dumps` call while hashing
+_ACCOUNT_CHUNK = 256
+
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def state_hash(state: ChainState) -> str:
-    """Digest of the canonical serialization: sorted keys, string amounts."""
-    blob = json.dumps(state.canonical(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    """sha256 of `_dumps(state.canonical())`: sorted keys, string amounts.
+
+    The text is fed to the hasher in pieces, so that a hash holds neither a
+    second copy of every balance nor the whole serialization.
+    """
+    digest = hashlib.sha256()
+    for text in _canonical_text(state):
+        digest.update(text.encode("utf-8"))
+    return digest.hexdigest()
+
+
+def _canonical_text(state: ChainState):
+    """`_dumps(state.canonical())` in pieces, the account table
+    `_ACCOUNT_CHUNK` accounts at a time. `_dumps` of a dict is "{", its
+    `key:value` pairs in key order joined by ",", and "}", so writing the
+    pairs one by one gives the same text."""
+    tree = state.canonical(accounts=False)
+    for i, key in enumerate(sorted(tree)):
+        yield ("," if i else "{") + _dumps(key) + ":"
+        text = _dumps(tree[key])
+        if key == "bank":
+            head = '{"accounts":{'
+            assert text.startswith(head), "the account table must be the bank's first key"
+            yield head
+            entries = state.bank.account_entries()
+            sep = ""
+            while chunk := dict(islice(entries, _ACCOUNT_CHUNK)):
+                yield sep + _dumps(chunk)[1:-1]
+                sep = ","
+            text = text[len(head):]
+        yield text
+    yield "}"
 
 
 def verify_invariants(state: ChainState) -> None:

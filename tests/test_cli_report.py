@@ -232,6 +232,33 @@ def test_malformed_user_tx_fails_as_a_tx(case, tmp_path):
     assert result.final_state.bank.balance("alice", "uluna") == 50_000 - 100
 
 
+def test_float32_cap_past_the_float_range_fails_as_a_tx(tmp_path):
+    # a power of 2**1024 or more has no float; the delegation fails, the
+    # fee stays paid and the run goes on
+    genesis = dict(GENESIS, staking={
+        "float32_power_cap": True,
+        "gates": dict(GENESIS["staking"]["gates"], protect_power_height=100),
+        "validators": [{"address": "val1", "tokens": str(2**1100)},
+                       {"address": "val2", "tokens": str(2**1100)}],
+    })
+    scn = {"name": "huge-power", "end_height": 25, "events": [
+        {"at_height": 20, "action": "submit-tx", "tx": {
+            "fee_payer": "alice",
+            "declared_fee": [{"denom": "uluna", "amount": "100"}],
+            "msgs": [{"kind": "delegate", "delegator": "alice", "validator": "val1",
+                      "amount": {"denom": "uluna", "amount": "1000"}}],
+        }},
+    ]}
+    g = _write(tmp_path, "g.json", genesis)
+    s = _write(tmp_path, "s.json", scn)
+    out = tmp_path / "out"
+    assert main(["run", "--genesis", g, "--scenario", s, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["tx_results"] == {"20": [["failed", "PowerCapExceeded"]]}
+    result = run_scenario(build_state(genesis), parse_scenario(scn))
+    assert result.final_state.bank.balance("alice", "uluna") == 50_000 - 100
+
+
 NON_STRING_ADDRESSES = {
     "send-sender": {"kind": "send", "sender": ["alice"], "recipient": "bob",
                     "coins": [{"denom": "uluna", "amount": "5"}]},
@@ -325,6 +352,30 @@ BAD_TOP_LEVEL_FIELDS = {
             "declared_fee": [{"denom": 5, "amount": "1"}, {"denom": "uluna", "amount": "100"}],
             "msgs": [{"kind": "send", "sender": "alice", "recipient": "bob",
                       "coins": [{"denom": "uluna", "amount": "5"}]}]}}]}, "denom"),
+    # a negative coin entry is refused even where another entry covers it
+    "send-coin-entry-negative": ({"events": [
+        {"at_height": 3, "action": "submit-tx", "tx": {
+            "fee_payer": "alice",
+            "msgs": [{"kind": "send", "sender": "alice", "recipient": "bob",
+                      "coins": [{"denom": "uluna", "amount": "500"},
+                                {"denom": "uluna", "amount": "-300"}]}]}}]},
+        "negative amount"),
+    "declared-fee-entry-negative": ({"events": [
+        {"at_height": 3, "action": "submit-tx", "tx": {
+            "fee_payer": "alice",
+            "declared_fee": [{"denom": "uluna", "amount": 10},
+                             {"denom": "uluna", "amount": -10}],
+            "msgs": [{"kind": "send", "sender": "alice", "recipient": "bob",
+                      "coins": [{"denom": "uluna", "amount": "5"}]}]}}]}, "negative amount"),
+    "community-spend-entry-negative": ({"events": [
+        {"at_height": 3, "action": "community-spend", "recipient": "alice",
+         "coins": [{"denom": "uluna", "amount": "-1"},
+                   {"denom": "uluna", "amount": "2"}]}]}, "negative amount"),
+    "sniper-fee-entry-negative": ({"events": [
+        {"at_height": 3, "action": "sniper-arm", "target_height": 4, "delegator": "alice",
+         "validator": "val1", "amount": {"denom": "uluna", "amount": "1000"},
+         "declared_fee": [{"denom": "uluna", "amount": "-5"},
+                          {"denom": "uluna", "amount": "5"}]}]}, "negative amount"),
     "sniper-delegator-empty": ({"events": [
         {"at_height": 3, "action": "sniper-arm", "target_height": 4, "delegator": "",
          "validator": "val1", "amount": {"denom": "uluna", "amount": "1000"}}]}, "delegator"),

@@ -281,9 +281,10 @@ def _tx(height, msg, fee=0):
 
 
 @st.composite
-def sparse_scenarios(draw):
-    end = draw(st.integers(20, 1200))
-    n_vals = draw(st.integers(1, 4))
+def sparse_scenarios(draw, validator_counts=st.integers(1, 4), powers=st.integers(1, 9),
+                     ends=st.integers(20, 1200)):
+    end = draw(ends)
+    n_vals = draw(validator_counts)
     version = st.sampled_from(["v20", "v21"])
     validators = [f"val{i}" for i in range(1, n_vals + 1)]
     height = st.integers(1, end)
@@ -297,7 +298,7 @@ def sparse_scenarios(draw):
         "staking": {
             "gates": FAR_GATES,
             "unbonding_period_blocks": draw(st.integers(1, 80)),
-            "validators": [{"address": v, "tokens": str(draw(st.integers(1, 9)) * M),
+            "validators": [{"address": v, "tokens": str(draw(powers) * M),
                             "version": draw(version)} for v in validators],
         },
         "treasury": {"epoch_length_blocks": draw(st.integers(3, 400))},
@@ -359,4 +360,15 @@ def sparse_scenarios(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(configs=sparse_scenarios())
 def test_sparse_run_matches_step_loop(configs, monkeypatch):
+    _assert_run_matches_step_loop(*configs, monkeypatch)
+
+
+# Mainnet-size validator sets with uneven powers, whose rotation period is
+# mostly far longer than the scenario, so few idle runs skip a whole cycle.
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(configs=sparse_scenarios(
+    validator_counts=st.sampled_from([5, 130]) | st.integers(5, 130),
+    powers=st.integers(1, 40_000), ends=st.integers(20, 600)))
+def test_sparse_run_matches_step_loop_over_uneven_powers(configs, monkeypatch):
     _assert_run_matches_step_loop(*configs, monkeypatch)

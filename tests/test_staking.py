@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from luncsim.coins import Coin
 from luncsim.errors import (
@@ -118,6 +118,39 @@ def test_cap_float32_mode_diverges_from_exact():
     args = (24_999_999, 99_999_998, 2 * 1_000_000)
     assert not check_power_cap(*args, exact)
     assert check_power_cap(*args, compat)
+
+
+@settings(max_examples=600)
+@given(total=st.integers(1, 2**140), near=st.booleans(), offset=st.integers(-2, 2),
+       share=st.fractions(min_value=0, max_value=1),
+       cap=st.sampled_from([Fraction(1, 4), Fraction(1, 3), Fraction(2, 3), Fraction(1, 10)]))
+def test_cap_float32_mode_matches_numpy(total, near, offset, share, cap):
+    np = pytest.importorskip("numpy")
+    # half the pairs sit within 2 of the cap's boundary, the rest anywhere
+    v = int(total * cap) + offset if near else int(total * share)
+    v = min(max(v, 0), total)
+    params = StakingParams(float32_power_cap=True, max_delegation_power_fraction=cap)
+    with np.errstate(over="ignore", invalid="ignore"):   # inf past 2**128, inf / inf
+        frac = np.float32(v) / np.float32(total)
+    expected = not bool(frac > np.float32(float(cap)))
+    assert check_power_cap(v, total, 0, params) == expected
+
+
+def test_float32_cap_refuses_a_power_past_the_float_range():
+    # float() of 2**1024 or more raises OverflowError, which must not escape
+    # the msg handler: the delegation fails and moves nothing
+    gates = HeightGates(staking_power_upgrade_height=5,
+                        delegate_power_revert_height=10,
+                        staking_power_revert_height=1000,
+                        protect_power_height=100)
+    bank = fresh_bank([("dora", "uluna", 10**12)])
+    st_state = staking_fixture(bank=bank, gates=gates,
+                               params=StakingParams(float32_power_cap=True),
+                               validators=[("val1", 2**1100), ("val2", 2**1100)])
+    with pytest.raises(PowerCapExceeded):
+        delegate(bank, st_state, "dora", "val1", Coin("uluna", 10**6), 50)
+    assert bank.balance("dora", "uluna") == 10**12
+    assert st_state.validators["val1"].tokens == 2**1100
 
 
 def test_cap_empty_set_always_passes():

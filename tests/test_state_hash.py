@@ -1,0 +1,76 @@
+"""`state_hash` streams the account table and still commits to `canonical()`.
+
+The digest is defined as the sha256 of one JSON blob of `state.canonical()`.
+`state_hash` writes the account table into the hasher in chunks, so these
+tests hold it to that definition over states built to hit the chunk edges
+and the awkward strings, and bound the memory one hash may hold.
+"""
+
+import hashlib
+import json
+import tracemalloc
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from luncsim import state as state_mod
+from luncsim.governance import Proposal
+from luncsim.state import state_hash
+
+from helpers import chain_fixture
+
+CHUNK = state_mod._ACCOUNT_CHUNK
+MARKER = '"bank":{"accounts":{}'
+
+
+def _blob_hash(state) -> str:
+    blob = json.dumps(state.canonical(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+_text = st.text(alphabet=st.sampled_from(['a', 'z', '"', '\\', 'é', '☃', '\U0001f600',
+                                          '{', '}', ':', ',', '\n', '0']),
+                max_size=6)
+_denoms = st.one_of(st.sampled_from(["uluna", "uusd", "ukrw"]), _text.filter(bool))
+_balance = st.dictionaries(_denoms, st.integers(0, 10**30), max_size=3)
+
+
+@st.composite
+def _states(draw):
+    state = chain_fixture(validators=[("val1", 5_000_000)])
+    # plain accounts around the chunk edges, plus a few awkward ones
+    count = draw(st.sampled_from([0, 1, CHUNK, CHUNK + 1]) | st.integers(0, 2 * CHUNK + 2))
+    accounts = {f"addr{i:05d}": {"uluna": 7 * i + 1, "uusd": i % 3} for i in range(count)}
+    for addr in draw(st.lists(_text, max_size=3)):
+        accounts[addr] = draw(_balance)
+    # a few empty balances, which the hash skips, and zero entries, which it keeps
+    if accounts:
+        for addr in draw(st.lists(st.sampled_from(sorted(accounts)), max_size=3)):
+            accounts[addr] = draw(st.sampled_from([{}, {"uluna": 0}, {"uusd": 0, "uluna": 3}]))
+    state.bank.accounts = accounts
+    for name in draw(st.lists(st.sampled_from(sorted(state.bank.modules)), max_size=3)):
+        state.bank.modules[name] = draw(_balance)
+    title = draw(st.sampled_from(["", MARKER, "x" + MARKER + "}}"]) | _text)
+    state.governance.proposals[1] = Proposal(proposal_id=1, kind="text", title=title,
+                                             changes=[], voting_end_height=9)
+    state.warnings = draw(st.lists(st.sampled_from([MARKER, "\\" + MARKER]) | _text, max_size=2))
+    return state
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(state=_states())
+def test_streamed_hash_equals_hash_of_the_canonical_blob(state):
+    before = state.canonical()
+    assert state_hash(state) == _blob_hash(state)
+    assert state.canonical() == before
+
+
+def test_one_hash_holds_little_memory_at_40000_accounts():
+    # the whole blob of 40,000 accounts and its canonical tree take 16 MiB
+    state = chain_fixture(accounts=[(f"acct{i:06d}", "uluna", 7 * i + 1) for i in range(40_000)])
+    tracemalloc.start()
+    try:
+        state_hash(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
