@@ -24,7 +24,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coins import Coin, coins_add, coins_ge, normalize
+from .coins import Coin, coins_add, coins_ge
 from .errors import InsufficientFunds, InternalInconsistency
 from .ledger import BURN_MODULE, FEE_COLLECTOR
 from . import treasury as treasury_mod
@@ -79,7 +79,7 @@ class Msg:
 class Tx:
     msgs: list
     fee_payer: str
-    declared_fee: dict = field(default_factory=dict)
+    declared_fee: dict = field(default_factory=dict)   # a coin set, trusted as given
     gas_limit: int = 0
 
     def __post_init__(self):
@@ -89,7 +89,6 @@ class Tx:
             raise ValueError("a tx needs a fee payer")
         if self.gas_limit < 0:
             raise ValueError("gas limit must be non-negative")
-        self.declared_fee = normalize(dict(self.declared_fee))
 
     def canonical(self) -> dict:
         return {

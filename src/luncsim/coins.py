@@ -60,21 +60,23 @@ def coins_ge(a: dict, b: dict) -> bool:
 
 def coins_from_config(entries) -> dict:
     """Parse ``[{"denom": ..., "amount": ...}, ...]`` (amounts int or str) into a
-    coin set: a negative entry is refused, even where another entry of its
-    denom covers it, and a zero sum is dropped."""
+    coin set that `Tx` and the engine trust: a negative entry is refused, even
+    where another entry of its denom covers it, and a zero sum is dropped."""
     if type(entries) is not list:
         raise ParseError(f"a coin list must be a list, got {entries!r}")
     out: dict = {}
     try:
         for e in entries:
             denom, amount = e["denom"], e["amount"]
-            if type(denom) is not str or type(amount) not in (int, str):
+            amount_type = type(amount)
+            if type(denom) is not str or (amount_type is not str and amount_type is not int):
                 raise ParseError(f"coin list entry {e!r} needs a string denom "
                                  f"and an integer amount")
-            amount = int(amount)
+            if amount_type is str:
+                amount = int(amount)
             if amount < 0:
                 raise ParseError(f"bad coin list entry: a negative amount in {e!r}")
-            out[denom] = out.get(denom, 0) + amount
+            out[denom] = out[denom] + amount if denom in out else amount
     except (KeyError, ValueError, TypeError) as exc:
         raise ParseError(f"bad coin list entry: {exc}") from exc
     return {d: a for d, a in out.items() if a} if 0 in out.values() else out

@@ -30,7 +30,9 @@ def load(path: str, what: str) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: bytes that are not UTF-8, text that is not JSON or an integer
+        # of more than 4,300 digits; RecursionError: arrays or objects nested too deep
         raise ParseError(f"cannot read {what} {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ParseError(f"{what} config must be a JSON object")

@@ -15,8 +15,8 @@ Schema:
 `inclusion_delay` and `invariant_interval` are non-negative integers,
 `strict_halt` is a JSON boolean, `events` is a list and
 `precommit_overrides` maps integer heights to rationals in [2/3, 1].
-Every field is read through `inputs`, and anything else is a ParseError
-that names the field.
+Every field is checked once, by a reader per action and per msg kind, and
+anything else is a ParseError that names the field (raised by `inputs`).
 
 Actions:
 
@@ -32,8 +32,8 @@ Actions:
 
 Msg encoding: {"kind": "send", "sender": ..., "recipient": ...,
 "coins": [{"denom": ..., "amount": ...}]} and so on per kind; "exec" wraps
-{"sender": ..., "msgs": [...]}. Events at the same height run in declaration
-order.
+{"sender": ..., "msgs": [...]}, and is refused nested past about 490 levels.
+Events at the same height run in declaration order.
 
 Addresses, versions, vote options and denoms are strings; a sniper's
 delegator, the fee payer of the tx it fires, is a non-empty one, and gas
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
 from .ante import Msg, MsgKind, Tx
 from .coins import coins_from_config
@@ -71,145 +72,142 @@ class Scenario:
     precommit_overrides: dict = field(default_factory=dict)
 
 
-_KINDS = {kind.value: kind for kind in MsgKind}
+# The hot readers check their fields with `type(...) is` and call `read` or
+# `integer` only when a check fails, to raise the error that names the field;
+# the others read through `inputs` directly.
+
+def _send(raw: dict) -> dict:
+    sender, recipient = raw.get("sender"), raw.get("recipient")
+    if type(sender) is not str or type(recipient) is not str:
+        sender, recipient = read(raw, "sender", str), read(raw, "recipient", str)
+    return {"sender": sender, "recipient": recipient, "coins": coins_from_config(raw["coins"])}
+
+
+def _stake(name: str):
+    return lambda raw: {"delegator": read(raw, "delegator", str),
+                        "validator": read(raw, "validator", str),
+                        "amount": coin(raw["amount"], name)}
+
+
+_MSG_READERS = {
+    MsgKind.SEND: _send,
+    MsgKind.MULTI_SEND: lambda raw: {"sender": read(raw, "sender", str), "outputs": [
+        {"recipient": read(o, "recipient", str), "coins": coins_from_config(o["coins"])}
+        for o in raw["outputs"]]},
+    MsgKind.SWAP_SEND: lambda raw: {
+        "sender": read(raw, "sender", str), "recipient": read(raw, "recipient", str),
+        "offer": coin(raw["offer"], "swap-send offer"), "ask_denom": read(raw, "ask_denom", str)},
+    MsgKind.INSTANTIATE_CONTRACT: lambda raw: {
+        "sender": read(raw, "sender", str), "funds": coins_from_config(raw.get("funds", [])),
+        "label": read(raw, "label", str, "")},
+    MsgKind.EXECUTE_CONTRACT: lambda raw: {
+        "sender": read(raw, "sender", str), "contract": read(raw, "contract", str),
+        "funds": coins_from_config(raw.get("funds", []))},
+    # `map`, not a comprehension and its frame: a level of exec takes two of ~1,000
+    MsgKind.EXEC: lambda raw: {
+        "sender": read(raw, "sender", str), "msgs": list(map(parse_msg, raw["msgs"]))},
+    MsgKind.DELEGATE: _stake("delegate"),
+    MsgKind.UNDELEGATE: _stake("undelegate"),
+    MsgKind.CREATE_VALIDATOR: lambda raw: {
+        "operator": read(raw, "operator", str), "version": read(raw, "version", str, "v21")},
+    MsgKind.VOTE: lambda raw: {
+        "voter": read(raw, "voter", str),
+        "proposal_id": integer(raw["proposal_id"], "proposal_id"),
+        "option": read(raw, "option", str)},
+    # governance checks the proposal when the msg runs
+    MsgKind.SUBMIT_PROPOSAL: lambda raw: {
+        "proposer": read(raw, "proposer", str), "proposal": raw["proposal"]},
+}
+# looked up by the kind's text: hashing an enum member runs Python code
+_KINDS = {kind.value: (kind, reader) for kind, reader in _MSG_READERS.items()}
 
 
 def parse_msg(raw: dict) -> Msg:
     try:
-        kind = _KINDS[raw["kind"]]
+        kind, reader = _KINDS[raw["kind"]]
     except (KeyError, TypeError) as exc:   # no kind, an unknown one, or no mapping
         raise ParseError(f"bad msg kind in {raw!r}") from exc
     try:
-        if kind == MsgKind.SEND:
-            payload = {
-                "sender": read(raw, "sender", str),
-                "recipient": read(raw, "recipient", str),
-                "coins": coins_from_config(raw["coins"]),
-            }
-        elif kind == MsgKind.MULTI_SEND:
-            payload = {
-                "sender": read(raw, "sender", str),
-                "outputs": [
-                    {"recipient": read(o, "recipient", str),
-                     "coins": coins_from_config(o["coins"])}
-                    for o in raw["outputs"]
-                ],
-            }
-        elif kind == MsgKind.SWAP_SEND:
-            payload = {
-                "sender": read(raw, "sender", str),
-                "recipient": read(raw, "recipient", str),
-                "offer": coin(raw["offer"], "swap-send offer"),
-                "ask_denom": read(raw, "ask_denom", str),
-            }
-        elif kind == MsgKind.INSTANTIATE_CONTRACT:
-            payload = {
-                "sender": read(raw, "sender", str),
-                "funds": coins_from_config(raw.get("funds", [])),
-                "label": read(raw, "label", str, ""),
-            }
-        elif kind == MsgKind.EXECUTE_CONTRACT:
-            payload = {
-                "sender": read(raw, "sender", str),
-                "contract": read(raw, "contract", str),
-                "funds": coins_from_config(raw.get("funds", [])),
-            }
-        elif kind == MsgKind.EXEC:
-            payload = {
-                "sender": read(raw, "sender", str),
-                "msgs": [parse_msg(m) for m in raw["msgs"]],
-            }
-        elif kind == MsgKind.DELEGATE or kind == MsgKind.UNDELEGATE:
-            payload = {
-                "delegator": read(raw, "delegator", str),
-                "validator": read(raw, "validator", str),
-                "amount": coin(raw["amount"], kind.value),
-            }
-        elif kind == MsgKind.CREATE_VALIDATOR:
-            payload = {
-                "operator": read(raw, "operator", str),
-                "version": read(raw, "version", str, "v21"),
-            }
-        elif kind == MsgKind.VOTE:
-            payload = {
-                "voter": read(raw, "voter", str),
-                "proposal_id": integer(raw["proposal_id"], "proposal_id"),
-                "option": read(raw, "option", str),
-            }
-        else:  # MsgKind.SUBMIT_PROPOSAL: governance checks the proposal when it runs
-            payload = {
-                "proposer": read(raw, "proposer", str),
-                "proposal": raw["proposal"],
-            }
+        return Msg(kind, reader(raw))
     except (KeyError, TypeError) as exc:
         raise ParseError(f"msg {kind.value} missing field: {exc}") from exc
-    return Msg(kind=kind, payload=payload)
 
 
-def parse_tx(raw: dict) -> Tx:
+def _submit_tx(event: dict) -> dict:
+    # the tx is read here, in no frame of its own: every frame above the msgs
+    # takes one level from how deep exec may nest
+    raw = event.get("tx")
     try:
-        msgs = [parse_msg(m) for m in raw["msgs"]]
-        return Tx(
-            msgs=msgs,
-            fee_payer=read(raw, "fee_payer", str),
-            declared_fee=coins_from_config(raw.get("declared_fee", [])),
-            gas_limit=integer(raw.get("gas_limit", 0), "gas_limit", low=0),
-        )
+        msgs = list(map(parse_msg, raw["msgs"]))
+        fee_payer, gas_limit = raw.get("fee_payer"), raw.get("gas_limit", 0)
+        if type(fee_payer) is not str:
+            fee_payer = read(raw, "fee_payer", str)
+        declared_fee = coins_from_config(raw.get("declared_fee", []))
+        if type(gas_limit) is not int or gas_limit < 0:
+            gas_limit = integer(gas_limit, "gas_limit", low=0)
+        return {"tx": Tx(msgs, fee_payer, declared_fee, gas_limit)}
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad tx: {exc}") from exc
+    except RecursionError:   # exec within exec deeper than the interpreter's stack
+        raise ParseError("bad tx: msgs nested too deep") from None
+
+
+def _sniper_arm(raw: dict) -> dict:
+    delegator = read(raw, "delegator", str)
+    if not delegator:   # it pays the fee of the tx the sniper fires
+        raise ParseError("sniper-arm delegator must not be empty")
+    return {
+        "target_height": integer(raw.get("target_height"), "target_height"),
+        "delegator": delegator,
+        "validator": read(raw, "validator", str),
+        "amount": coin(raw.get("amount"), "amount"),
+        "gas_limit": integer(raw.get("gas_limit", 0), "gas_limit", low=0),
+        "declared_fee": coins_from_config(raw.get("declared_fee", [])),
+    }
+
+
+def _submit_proposal(raw: dict) -> dict:
+    prop = read(raw, "proposal", dict)
+    return {
+        "kind": read(prop, "kind", str, name="proposal.kind"),
+        "title": read(prop, "title", str, "", name="proposal.title"),
+        "changes": read(prop, "changes", list, [], name="proposal.changes"),
+    }
+
+
+_EVENT_READERS = {
+    "submit-tx": _submit_tx,
+    "upgrade-validator": lambda raw: {
+        "validator": read(raw, "validator", str), "version": read(raw, "version", str)},
+    "submit-proposal": _submit_proposal,
+    "cast-vote": lambda raw: {
+        "voter": read(raw, "voter", str),
+        "proposal_id": integer(raw.get("proposal_id"), "proposal_id"),
+        "option": read(raw, "option", str)},
+    "sniper-arm": _sniper_arm,
+    "community-spend": lambda raw: {
+        "recipient": read(raw, "recipient", str), "coins": coins_from_config(raw.get("coins"))},
+    "rollback-to": lambda raw: {
+        "target_height": integer(raw.get("target_height"), "target_height")},
+}
 
 
 def parse_event(raw: dict) -> ScenarioEvent:
-    action = read(raw, "action", str)
-    at_height = integer(raw.get("at_height"), "at_height")
-    payload: dict
-    if action == "submit-tx":
-        payload = {"tx": parse_tx(raw.get("tx"))}
-    elif action == "upgrade-validator":
-        payload = {"validator": read(raw, "validator", str),
-                   "version": read(raw, "version", str)}
-    elif action == "submit-proposal":
-        prop = read(raw, "proposal", dict)
-        payload = {
-            "kind": read(prop, "kind", str, name="proposal.kind"),
-            "title": read(prop, "title", str, "", name="proposal.title"),
-            "changes": read(prop, "changes", list, [], name="proposal.changes"),
-        }
-    elif action == "cast-vote":
-        payload = {
-            "voter": read(raw, "voter", str),
-            "proposal_id": integer(raw.get("proposal_id"), "proposal_id"),
-            "option": read(raw, "option", str),
-        }
-    elif action == "sniper-arm":
-        delegator = read(raw, "delegator", str)
-        if not delegator:   # it pays the fee of the tx the sniper fires
-            raise ParseError("sniper-arm delegator must not be empty")
-        payload = {
-            "target_height": integer(raw.get("target_height"), "target_height"),
-            "delegator": delegator,
-            "validator": read(raw, "validator", str),
-            "amount": coin(raw.get("amount"), "amount"),
-            "gas_limit": integer(raw.get("gas_limit", 0), "gas_limit", low=0),
-            "declared_fee": coins_from_config(raw.get("declared_fee", [])),
-        }
-    elif action == "community-spend":
-        payload = {
-            "recipient": read(raw, "recipient", str),
-            "coins": coins_from_config(raw.get("coins")),
-        }
-    elif action == "rollback-to":
-        payload = {"target_height": integer(raw.get("target_height"), "target_height")}
-    else:
+    action, at_height = ((raw.get("action"), raw.get("at_height")) if type(raw) is dict
+                         else (None, None))
+    if type(action) is not str or type(at_height) is not int:
+        action, at_height = read(raw, "action", str), integer(raw.get("at_height"), "at_height")
+    reader = _EVENT_READERS.get(action)
+    if reader is None:
         raise ParseError(f"unknown action {action!r}")
-    return ScenarioEvent(at_height=at_height, action=action, payload=payload)
+    return ScenarioEvent(at_height, action, reader(raw))
 
 
 def parse_scenario(cfg: dict) -> Scenario:
     end_height = integer(read(cfg, "end_height"), "end_height")
     # a stable sort keeps the declaration order of events at one height
     events = sorted(map(parse_event, read(cfg, "events", list, [])),
-                    key=lambda e: e.at_height)
+                    key=attrgetter("at_height"))
     overrides = {
         integer(h, "precommit_overrides height"):
             fraction(frac, f"precommit_overrides[{h!r}]", Fraction(2, 3), 1)

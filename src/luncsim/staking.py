@@ -213,7 +213,10 @@ def check_power_cap(
 
     Compares (validatorPower + d) / (totalPower + d) against the configured
     maximum with d = deltaTokens // powerReduction. Exact by default; the
-    float32 mode mirrors the original single-precision comparison; it refuses
+    float32 mode mirrors the original single-precision comparison, as numpy's
+    float32 computes it. Once both powers reach about 2**128 units they round
+    to float32 `inf`, `inf / inf` is NaN and NaN compares false, so the float32
+    mode lets the delegation pass where the exact mode refuses it. It refuses
     a power of 2**1024 or more, which no float can hold.
     """
     d = tokens_to_consensus_power(delta_tokens, params.power_reduction)

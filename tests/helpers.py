@@ -6,6 +6,7 @@ from luncsim.ante import AnteConfig
 from luncsim.distribution import DistributionParams, DistributionState
 from luncsim.governance import GovernanceState, GovParams
 from luncsim.ledger import DEFAULT_MODULE_ACCOUNTS, Bank
+from luncsim.scenario import parse_event
 from luncsim.staking import HeightGates, StakingParams, StakingState, genesis_bond
 from luncsim.state import ChainState
 from luncsim.treasury import TreasuryState
@@ -17,6 +18,11 @@ FAR_GATES = HeightGates(
     staking_power_revert_height=2 * 10**9,
     protect_power_height=10**9 + 2,
 )
+
+
+def read_tx(raw: dict):
+    """A tx as a `submit-tx` scenario event reads it."""
+    return parse_event({"at_height": 0, "action": "submit-tx", "tx": raw}).payload["tx"]
 
 
 def fresh_bank(accounts=None) -> Bank:

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import luncsim
 from luncsim import build_bundled, errors
 from luncsim.cli import main
 from luncsim.genesis import build_state
@@ -125,6 +130,16 @@ def test_cli_replay_list(capsys):
     assert "rebel1-replay" in names
     assert "mainnet-gates" in names
     assert names == sorted(names)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(luncsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "luncsim", "replay", "--list"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "rebel1-replay" in done.stdout.split()
 
 
 def test_cli_replay_runs_bundled_scenario(tmp_path, capsys):
@@ -452,3 +467,43 @@ def test_bad_genesis_field_exits_four(case, tmp_path, capsys):
     s = _write(tmp_path, "s.json", dict(HALTING, strict_halt=False))
     assert main(["run", "--genesis", g, "--scenario", s]) == 4
     assert name in capsys.readouterr().err
+
+
+def _nested_exec_scenario(depth: int) -> str:
+    """JSON text of a scenario whose one tx wraps a send in `depth` execs
+    (json.dumps itself refuses to nest that deep)."""
+    send = ('{"kind": "send", "sender": "alice", "recipient": "bob", '
+            '"coins": [{"denom": "uluna", "amount": "5"}]}')
+    msg = '{"kind": "exec", "sender": "alice", "msgs": [' * depth + send + "]}" * depth
+    return ('{"name": "deep", "end_height": 3, "events": [{"at_height": 2, '
+            '"action": "submit-tx", "tx": {"fee_payer": "alice", "msgs": [%s]}}]}' % msg)
+
+
+def test_deeply_nested_exec_still_runs(tmp_path, capsys):
+    g = _write(tmp_path, "g.json", GENESIS)
+    s = tmp_path / "s.json"
+    s.write_text(_nested_exec_scenario(450))
+    assert main(["run", "--genesis", g, "--scenario", str(s)]) == 0
+    assert json.loads(capsys.readouterr().out)["tx_results"]["2"] == [["ok", ""]]
+
+
+UNREADABLE_FILES = {
+    # json.load raises RecursionError, not JSONDecodeError
+    "scenario-exec-nested-600-deep": ("s.json", _nested_exec_scenario(600).encode()),
+    "genesis-accounts-nested-5000-deep": (
+        "g.json", b'{"accounts": ' + b"[" * 5000 + b"]" * 5000 + b"}"),
+    # UnicodeDecodeError: Latin-1 text, not UTF-8
+    "scenario-not-utf-8": ("s.json", '{"name": "café", "end_height": 3}'.encode("latin-1")),
+    # ValueError from the interpreter's limit on the digits of an int
+    "scenario-integer-of-5000-digits": ("s.json", b'{"end_height": ' + b"1" * 5000 + b"}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_FILES))
+def test_unreadable_input_file_exits_four(case, tmp_path, capsys):
+    g = _write(tmp_path, "g.json", GENESIS)
+    s = _write(tmp_path, "s.json", {"name": "quiet", "end_height": 3})
+    name, data = UNREADABLE_FILES[case]
+    (tmp_path / name).write_bytes(data)
+    assert main(["run", "--genesis", g, "--scenario", s]) == 4
+    assert "cannot read" in capsys.readouterr().err

@@ -108,6 +108,32 @@ def test_scenario_rejects_malformed_events():
         ]})
 
 
+@pytest.mark.parametrize("event, message", [
+    ({"action": 1, "at_height": "x"}, "action must be a string, got 1"),
+    ({"at_height": 1, "action": "submit-tx", "tx": {"fee_payer": 1, "gas_limit": -1,
+      "msgs": [{"kind": "send", "sender": 1, "recipient": 2}]}},
+     "sender must be a string, got 1"),
+    ({"at_height": 1, "action": "submit-tx", "tx": {"fee_payer": 1, "gas_limit": -1,
+      "declared_fee": 5, "msgs": [{"kind": "vote", "voter": "v", "proposal_id": 1,
+                                   "option": "yes"}]}},
+     "fee_payer must be a string, got 1"),
+])
+def test_the_first_of_two_bad_fields_is_named(event, message):
+    with pytest.raises(ParseError, match=message):
+        parse_scenario({"name": "s", "end_height": 10, "events": [event]})
+
+
+def test_exec_nested_past_the_stack_is_a_parse_error():
+    msg = {"kind": "send", "sender": "a", "recipient": "b",
+           "coins": [{"denom": "uluna", "amount": "5"}]}
+    for _ in range(700):
+        msg = {"kind": "exec", "sender": "a", "msgs": [msg]}
+    with pytest.raises(ParseError, match="nested too deep"):
+        parse_scenario({"name": "s", "end_height": 10, "events": [
+            {"at_height": 5, "action": "submit-tx", "tx": {"fee_payer": "a", "msgs": [msg]}},
+        ]})
+
+
 def test_scenario_file_round_trip(tmp_path):
     cfg = {"name": "s", "end_height": 12, "inclusion_delay": 3, "events": []}
     path = tmp_path / "scn.json"

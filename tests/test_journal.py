@@ -17,11 +17,11 @@ from luncsim import staking as staking_mod
 from luncsim.coins import Coin
 from luncsim.errors import SimError
 from luncsim.genesis import build_state
-from luncsim.scenario import parse_scenario, parse_tx
+from luncsim.scenario import parse_scenario
 from luncsim.simulator import Chain, apply_txs, execute_msg
 from luncsim.state import PendingTx, state_hash, verify_invariants
 
-from helpers import chain_fixture, fresh_bank, staking_fixture
+from helpers import chain_fixture, fresh_bank, read_tx, staking_fixture
 
 M = 1_000_000
 HEIGHT = 100
@@ -44,7 +44,7 @@ def _state():
 
 
 def _pending(raw_txs):
-    return [PendingTx(tx=parse_tx(raw), inclusion_height=HEIGHT, seq=i)
+    return [PendingTx(tx=read_tx(raw), inclusion_height=HEIGHT, seq=i)
             for i, raw in enumerate(raw_txs)]
 
 
@@ -93,7 +93,7 @@ def _tx(msgs, payer="alice", fee=200_000):
 def _after_ante(state, raw_tx):
     twin = copy.deepcopy(state)
     ante_mod.run_ante_pipeline(twin.bank, twin.treasury, twin.ante,
-                               parse_tx(raw_tx), HEIGHT)
+                               read_tx(raw_tx), HEIGHT)
     return state_hash(twin)
 
 

@@ -136,6 +136,14 @@ def test_cap_float32_mode_matches_numpy(total, near, offset, share, cap):
     assert check_power_cap(v, total, 0, params) == expected
 
 
+def test_cap_float32_mode_passes_powers_that_round_to_inf():
+    # both round to float32 inf, and inf / inf is NaN, which is never above the cap
+    exact, compat = StakingParams(), StakingParams(float32_power_cap=True)
+    for v, total in ((2**130, 2**130), (2**128, 2**129)):
+        assert check_power_cap(v, total, 0, compat)
+        assert not check_power_cap(v, total, 0, exact)
+
+
 def test_float32_cap_refuses_a_power_past_the_float_range():
     # float() of 2**1024 or more raises OverflowError, which must not escape
     # the msg handler: the delegation fails and moves nothing

@@ -19,7 +19,7 @@ from luncsim import staking as staking_mod
 from luncsim.coins import Coin
 from luncsim.errors import MsgNotSupported, PowerCapExceeded
 from luncsim.genesis import build_state
-from luncsim.scenario import parse_scenario, parse_tx
+from luncsim.scenario import parse_scenario
 from luncsim.simulator import Chain, apply_txs
 from luncsim.staking import (
     V20,
@@ -33,7 +33,7 @@ from luncsim.staking import (
 )
 from luncsim.state import PendingTx, state_hash
 
-from helpers import fresh_bank, staking_fixture
+from helpers import fresh_bank, read_tx, staking_fixture
 
 M = 1_000_000
 VERSIONS = ("v20", "v21", "v22")   # v22 is unknown to the engine: successor rules
@@ -102,7 +102,7 @@ def blocks(draw):
 
 
 def _pending(txs, height):
-    return [PendingTx(tx=parse_tx(raw), inclusion_height=height, seq=i)
+    return [PendingTx(tx=read_tx(raw), inclusion_height=height, seq=i)
             for i, raw in enumerate(txs)]
 
 
