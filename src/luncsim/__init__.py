@@ -8,7 +8,7 @@ halt at 7,684,492) reproduce exactly.
 """
 
 from .blocktime import SECONDS_PER_BLOCK, blocks_for_days, blocks_for_seconds
-from .coins import MICRO, Coin, coins_add, normalize
+from .coins import MICRO, Coin, coins_add
 from .errors import (
     ChainHalted,
     InsufficientFunds,
@@ -75,7 +75,6 @@ __all__ = [
     "load_genesis_file",
     "load_scenario_file",
     "mainnet_gates",
-    "normalize",
     "parse_scenario",
     "run_scenario",
     "simple_tax_params",

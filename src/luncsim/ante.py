@@ -163,8 +163,7 @@ def taxable_principals(msg: Msg) -> list:
     if msg.kind == MsgKind.MULTI_SEND:
         return [out["coins"] for out in msg.payload["outputs"]]
     if msg.kind == MsgKind.SWAP_SEND:
-        offer = msg.payload["offer"]
-        return [{offer.denom: offer.amount}]
+        return [msg.payload["offer"].as_coins()]
     if msg.kind in (MsgKind.INSTANTIATE_CONTRACT, MsgKind.EXECUTE_CONTRACT):
         funds = msg.payload.get("funds", {})
         return [funds] if funds else []
@@ -224,8 +223,7 @@ def run_ante_pipeline(bank, ts: treasury_mod.TreasuryState, cfg: AnteConfig,
         raise InsufficientFunds(
             f"declared fee {tx.declared_fee} does not cover gas+tax {required}"
         )
-    if tx.declared_fee:
-        bank.send_account_to_module(tx.fee_payer, FEE_COLLECTOR, tx.declared_fee)
+    bank.send_account_to_module(tx.fee_payer, FEE_COLLECTOR, tx.declared_fee)
     if not tax_active:
         return {}
     burned = burn_tax_decorator(bank, ts, tx, params)

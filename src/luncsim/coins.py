@@ -1,10 +1,18 @@
 """Integer micro-unit coin arithmetic.
 
 All amounts are exact non-negative integers. One whole token is 1,000,000
-micro-units (so 10,000 Lunc is 10_000_000_000 uluna). A coin set is a plain
-``{denom: amount}`` dict holding no zero and no negative entries; the empty
-dict is the canonical zero. Keeping the representation this small lets the
-rest of the engine copy and hash state cheaply.
+micro-units (so 10,000 Lunc is 10_000_000_000 uluna). Keeping the
+representation this small lets the rest of the engine copy and hash state
+cheaply.
+
+The coin-set contract, decided here alone: a coin set passed between engine
+functions is a plain ``{denom: amount}`` dict of ``str`` to ``int > 0``; the
+empty dict is the canonical zero. Outside values become coin sets only
+through `coins_from_config` and `Coin.as_coins`, which drop zero amounts, and
+every engine producer (tax, fee split, seigniorage, debits) keeps the
+contract, so no engine function checks it again. A stored balance may also
+hold a ``{denom: 0}`` entry seeded at genesis, which `canonical()` hashes;
+it is never moved, since a debit asks for a positive amount.
 """
 
 from __future__ import annotations
@@ -37,20 +45,16 @@ class Coin:
         if self.amount < 0:
             raise ValueError("coin amount must be non-negative")
 
-
-def normalize(cs: dict) -> dict:
-    """Drop zero entries; negative entries are a programming error."""
-    for denom, amt in cs.items():
-        if amt < 0:
-            raise ValueError(f"negative amount for {denom}")
-    return {d: a for d, a in cs.items() if a != 0}
+    def as_coins(self) -> dict:
+        """This coin as a coin set: empty when its amount is 0."""
+        return {self.denom: self.amount} if self.amount else {}
 
 
 def coins_add(a: dict, b: dict) -> dict:
     out = dict(a)
     for d, amt in b.items():
         out[d] = out.get(d, 0) + amt
-    return normalize(out)
+    return out
 
 
 def coins_ge(a: dict, b: dict) -> bool:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coins import coins_add, coins_as_strings, normalize
+from .coins import coins_add, coins_as_strings
 from .errors import UnknownProposer
 from .ledger import COMMUNITY_POOL, DISTRIBUTION, FEE_COLLECTOR, TREASURY
 from .staking import ACTIVE, consensus_powers
@@ -74,7 +74,7 @@ def _accrue(ds: DistributionState, validator: str, coins: dict) -> None:
 
 def _split(bank, ds: DistributionState, staking_state, source: str, coins: dict,
            proposer: str | None, proposer_frac: Fraction) -> dict:
-    """Split normalised `coins` out of module `source`.
+    """Split the coin set `coins` out of module `source`.
 
     Per denom the proposer takes `proposer_frac`, the community pool its
     tax, and the rest goes pro rata by consensus power to active validators;
@@ -87,6 +87,7 @@ def _split(bank, ds: DistributionState, staking_state, source: str, coins: dict,
     proposer_cut: dict = {}
     community_cut: dict = {}
     validator_cuts: dict = {}
+    moved_to_dist: dict = {}
     for denom, amount in sorted(coins.items()):
         to_proposer = _floor_mul(proposer_frac, amount)
         to_community = _floor_mul(p.community_tax, amount)
@@ -101,6 +102,8 @@ def _split(bank, ds: DistributionState, staking_state, source: str, coins: dict,
         dust = rest - assigned
         if to_proposer:
             proposer_cut[denom] = to_proposer
+        if to_proposer + assigned:
+            moved_to_dist[denom] = to_proposer + assigned
         cp = to_community + dust
         if cp:
             community_cut[denom] = cp
@@ -108,17 +111,8 @@ def _split(bank, ds: DistributionState, staking_state, source: str, coins: dict,
     _accrue(ds, proposer, proposer_cut)
     for addr, cs in validator_cuts.items():
         _accrue(ds, addr, cs)
-    moved_to_dist = coins_add(
-        proposer_cut,
-        {
-            d: sum(cs.get(d, 0) for cs in validator_cuts.values())
-            for d in coins
-        },
-    )
-    if moved_to_dist:
-        bank.send_module_to_module(source, DISTRIBUTION, moved_to_dist)
-    if community_cut:
-        bank.send_module_to_module(source, COMMUNITY_POOL, community_cut)
+    bank.send_module_to_module(source, DISTRIBUTION, moved_to_dist)
+    bank.send_module_to_module(source, COMMUNITY_POOL, community_cut)
     return {
         "proposer": proposer_cut,
         "community": community_cut,
@@ -139,7 +133,6 @@ def allocate_block_fees(
     Returns {"proposer": ..., "community": ..., "validators": {addr: ...}}
     with integer coin sets that sum exactly to `fees`.
     """
-    fees = normalize(dict(fees))
     if not fees:
         return {"proposer": {}, "community": {}, "validators": {}}
     val = staking_state.validators.get(proposer)
@@ -159,14 +152,11 @@ def allocate_seigniorage(bank, ds: DistributionState, staking_state, coins: dict
     validators, dust to the community pool. No proposer cut: this payout is
     not tied to a block proposal.
     """
-    _split(bank, ds, staking_state, TREASURY, normalize(dict(coins)), None, Fraction(0))
+    _split(bank, ds, staking_state, TREASURY, coins, None, Fraction(0))
 
 
 def community_pool_spend(bank, recipient: str, coins: dict) -> None:
     """Pay out of the community pool, or burn when recipient is "burn"."""
-    coins = normalize(dict(coins))
-    if not coins:
-        return
     if recipient == "burn":
         bank.burn(COMMUNITY_POOL, coins)
     else:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coins import coins_ge, coins_as_strings, normalize
+from .coins import coins_ge, coins_as_strings
 from .errors import InsufficientFunds, InvariantViolation, UnknownModule
 from .journal import Journal
 
@@ -70,7 +70,7 @@ class Bank:
     # -- genesis seeding ---------------------------------------------------
 
     def genesis_credit_account(self, address: str, denom: str, amount: int) -> None:
-        self._credit(self.accounts.setdefault(address, {}), denom, amount)
+        self._give(self.accounts, address, {denom: amount})
         self._bump(self.supply.totals, denom, amount)
         self._bump(self.supply.genesis_totals, denom, amount)
 
@@ -83,7 +83,8 @@ class Bank:
             self._bump(self.supply.genesis_totals, d, a)
 
     def genesis_credit_module(self, name: str, denom: str, amount: int) -> None:
-        self._credit(self._module(name), denom, amount)
+        self._module(name)
+        self._give(self.modules, name, {denom: amount})
         self._bump(self.supply.totals, denom, amount)
         self._bump(self.supply.genesis_totals, denom, amount)
 
@@ -126,21 +127,19 @@ class Bank:
 
     def mint(self, module: str, coins: dict) -> None:
         """Create coins inside a module account, growing total supply."""
-        store = self._module(module)
-        coins = normalize(dict(coins))
+        self._module(module)
         if coins:
-            self.journal.save(self.modules, module)
+            self._give(self.modules, module, coins)
             self._save_supply("totals", "cumulative_minted")
         for d, a in coins.items():
-            self._credit(store, d, a)
             self._bump(self.supply.totals, d, a)
             self._bump(self.supply.cumulative_minted, d, a)
 
     def burn(self, module: str, coins: dict) -> None:
         """Destroy coins held by a module account, shrinking total supply."""
         self._module(module)
-        coins = self._take(self.modules, module, coins)
         if coins:
+            self._take(self.modules, module, coins)
             self._save_supply("totals", "cumulative_burned")
         for d, a in coins.items():
             self._bump(self.supply.totals, d, -a)
@@ -204,32 +203,27 @@ class Bank:
         for name in names:
             self.journal.save(vars(self.supply), name)
 
-    def _take(self, table: dict, owner: str, coins: dict) -> dict:
-        """Normalise `coins` and debit them from `table[owner]`, or raise untouched."""
-        coins = normalize(dict(coins))
+    def _take(self, table: dict, owner: str, coins: dict) -> None:
+        """The one debit: take non-empty `coins` from `table[owner]`, or raise untouched."""
         src = table.get(owner, {})
         if not coins_ge(src, coins):
             who = owner if table is self.accounts else f"module {owner}"
             raise InsufficientFunds(f"{who} cannot cover {coins}")
-        if coins:
-            self.journal.save(table, owner)
-            self._debit(src, coins)
-        return coins
+        self.journal.save(table, owner)
+        self._debit(src, coins)
+
+    def _give(self, table: dict, owner: str, coins: dict) -> None:
+        """The one credit: add `coins` to `table[owner]`, saving its pre-image first."""
+        self.journal.save(table, owner)
+        store = table.setdefault(owner, {})
+        for d, a in coins.items():
+            store[d] = store.get(d, 0) + a
 
     def _move(self, src: dict, owner: str, dst: dict, recipient: str, coins: dict) -> None:
         """Debit `src[owner]` and credit `dst[recipient]`; empty coins are a no-op."""
-        coins = self._take(src, owner, coins)
         if coins:
-            self.journal.save(dst, recipient)
-            store = dst.setdefault(recipient, {})
-            for d, a in coins.items():
-                self._credit(store, d, a)
-
-    @staticmethod
-    def _credit(store: dict, denom: str, amount: int) -> None:
-        if amount < 0:
-            raise ValueError("credit amount must be non-negative")
-        store[denom] = store.get(denom, 0) + amount
+            self._take(src, owner, coins)
+            self._give(dst, recipient, coins)
 
     @staticmethod
     def _debit(store: dict, coins: dict) -> None:

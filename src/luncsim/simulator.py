@@ -62,7 +62,6 @@ from . import governance as gov_mod
 from . import staking as staking_mod
 from . import treasury as treasury_mod
 from .ante import Msg, MsgKind, Tx
-from .coins import normalize
 from .errors import (
     ChainHalted,
     MalformedProposal,
@@ -124,19 +123,14 @@ def execute_msg(state: ChainState, msg: Msg, height: int, version: str) -> None:
             bank.transfer(p["sender"], out["recipient"], out["coins"])
     elif msg.kind == MsgKind.SWAP_SEND:
         # the swap market is out of scope: the offered coins move as-is
-        offer = p["offer"]
-        bank.transfer(p["sender"], p["recipient"], {offer.denom: offer.amount})
+        bank.transfer(p["sender"], p["recipient"], p["offer"].as_coins())
     elif msg.kind == MsgKind.INSTANTIATE_CONTRACT:
         address = f"contract-{state.contract_counter}"
         state.journal.save(vars(state), "contract_counter")
         state.contract_counter += 1
-        funds = p.get("funds", {})
-        if funds:
-            bank.transfer(p["sender"], address, funds)
+        bank.transfer(p["sender"], address, p.get("funds", {}))
     elif msg.kind == MsgKind.EXECUTE_CONTRACT:
-        funds = p.get("funds", {})
-        if funds:
-            bank.transfer(p["sender"], p["contract"], funds)
+        bank.transfer(p["sender"], p["contract"], p.get("funds", {}))
     elif msg.kind == MsgKind.EXEC:
         for inner in p["msgs"]:
             execute_msg(state, inner, height, version)
@@ -464,7 +458,8 @@ class Chain:
         precommit = self.scenario.precommit_overrides.get(height)
         if precommit is None:
             precommit = min(Fraction(1), max(TWO_THIRDS, compatible))
-        fees = normalize(dict(state.bank.modules[FEE_COLLECTOR]))
+        # genesis may seed a zero entry in the collector
+        fees = {d: a for d, a in state.bank.modules[FEE_COLLECTOR].items() if a}
         if fees and proposer is not None:
             activity = True
             dist_mod.allocate_block_fees(state.bank, state.distribution, state.staking,

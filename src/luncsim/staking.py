@@ -338,7 +338,7 @@ def delegate(
                 f"delegation of {amount.amount} would push {validator} above "
                 f"{st.params.max_delegation_power_fraction} of total power"
             )
-    bank.send_account_to_module(delegator, BONDED_POOL, {amount.denom: amount.amount})
+    bank.send_account_to_module(delegator, BONDED_POOL, amount.as_coins())
     st.journal.save(st.validators, validator)
     st.journal.save(st.delegations, delegator)
     val.tokens += amount.amount
@@ -398,8 +398,7 @@ def undelegate(
     val.tokens -= amount.amount
     if val.tokens == 0 and val.status == ACTIVE:
         val.status = INACTIVE
-    bank.send_module_to_module(BONDED_POOL, NOT_BONDED_POOL,
-                               {amount.denom: amount.amount})
+    bank.send_module_to_module(BONDED_POOL, NOT_BONDED_POOL, amount.as_coins())
     entry = UnbondingEntry(
         delegator=delegator,
         validator=validator,

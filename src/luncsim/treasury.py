@@ -111,8 +111,7 @@ class TreasuryState:
 def record_epoch_burn(ts: TreasuryState, coins: dict) -> None:
     ts.journal.save(vars(ts), "epoch_burned")
     for d, a in coins.items():
-        if a:
-            ts.epoch_burned[d] = ts.epoch_burned.get(d, 0) + a
+        ts.epoch_burned[d] = ts.epoch_burned.get(d, 0) + a
 
 
 def queue_policy_update(ts: TreasuryState, proposal_id: int, key: str,
@@ -148,21 +147,19 @@ def epoch_transition(bank, ts: TreasuryState, dist_state, staking_state,
         raise ValueError(f"height {height} is not an epoch boundary")
     from . import distribution as dist_mod
 
-    minted = {d: a for d, a in sorted(ts.epoch_burned.items()) if a}
+    minted = dict(sorted(ts.epoch_burned.items()))
     burned = {}
     distributed = {}
     if minted:
         bank.mint(TREASURY, minted)
         w = ts.reward_weight
-        burned = {
-            d: (w.numerator * a) // w.denominator
-            for d, a in minted.items()
-            if (w.numerator * a) // w.denominator
-        }
-        if burned:
-            bank.burn(TREASURY, burned)
-        distributed = {d: minted[d] - burned.get(d, 0) for d in minted}
-        distributed = {d: a for d, a in distributed.items() if a}
+        for d, a in minted.items():
+            cut = (w.numerator * a) // w.denominator
+            if cut:
+                burned[d] = cut
+            if a - cut:
+                distributed[d] = a - cut
+        bank.burn(TREASURY, burned)
         if distributed:
             dist_mod.allocate_seigniorage(bank, dist_state, staking_state, distributed)
     applied = apply_pending_policies(ts)

@@ -13,7 +13,7 @@ from luncsim import build_bundled, errors
 from luncsim.cli import main
 from luncsim.genesis import build_state
 from luncsim.report import build_summary, csv_header, write_reports
-from luncsim.scenario import parse_scenario
+from luncsim.scenario import MAX_EXEC_DEPTH, parse_scenario
 from luncsim.simulator import run_scenario
 
 GENESIS = {
@@ -469,22 +469,49 @@ def test_bad_genesis_field_exits_four(case, tmp_path, capsys):
     assert name in capsys.readouterr().err
 
 
-def _nested_exec_scenario(depth: int) -> str:
-    """JSON text of a scenario whose one tx wraps a send in `depth` execs
-    (json.dumps itself refuses to nest that deep)."""
-    send = ('{"kind": "send", "sender": "alice", "recipient": "bob", '
-            '"coins": [{"denom": "uluna", "amount": "5"}]}')
-    msg = '{"kind": "exec", "sender": "alice", "msgs": [' * depth + send + "]}" * depth
-    return ('{"name": "deep", "end_height": 3, "events": [{"at_height": 2, '
-            '"action": "submit-tx", "tx": {"fee_payer": "alice", "msgs": [%s]}}]}' % msg)
+SEND = {"kind": "send", "sender": "alice", "recipient": "bob",
+        "coins": [{"denom": "uluna", "amount": "5"}]}
+
+
+def _nested_exec_scenario(depth: int, leaf=SEND, height: int = 2) -> str:
+    """JSON text of a scenario whose one tx, at `height`, wraps `leaf` in
+    `depth` execs (json.dumps itself refuses to nest that deep)."""
+    msg = '{"kind": "exec", "sender": "alice", "msgs": [' * depth + json.dumps(leaf) \
+        + "]}" * depth
+    return ('{"name": "deep", "end_height": %d, "events": [{"at_height": %d, '
+            '"action": "submit-tx", "tx": {"fee_payer": "alice", "msgs": [%s]}}]}'
+            % (height + 1, height, msg))
+
+
+def _main_from_deeper_stack(argv, frames=200):
+    """`main(argv)` called `frames` Python frames deeper than the caller."""
+    return _main_from_deeper_stack(argv, frames - 1) if frames else main(argv)
 
 
 def test_deeply_nested_exec_still_runs(tmp_path, capsys):
     g = _write(tmp_path, "g.json", GENESIS)
     s = tmp_path / "s.json"
-    s.write_text(_nested_exec_scenario(450))
-    assert main(["run", "--genesis", g, "--scenario", str(s)]) == 0
+    s.write_text(_nested_exec_scenario(MAX_EXEC_DEPTH))
+    assert _main_from_deeper_stack(["run", "--genesis", g, "--scenario", str(s)]) == 0
     assert json.loads(capsys.readouterr().out)["tx_results"]["2"] == [["ok", ""]]
+
+
+@pytest.mark.parametrize("depth, frames, code", [
+    (MAX_EXEC_DEPTH, 200, 2), (MAX_EXEC_DEPTH + 1, 200, 4), (200, 0, 4), (450, 0, 4)])
+def test_exec_depth_is_a_property_of_the_input(tmp_path, capsys, depth, frames, code):
+    """A delegate at the bottom of `depth` execs, in a block whose versions run
+    different rules. At the limit every engine walk (per-version evaluation, the
+    hash of the halted block's mempool, the final hash) runs from a stack 200
+    frames deeper than the command line's, and the chain halts; past it the tx
+    is refused as input."""
+    g = _write(tmp_path, "g.json", GENESIS)
+    s = tmp_path / "s.json"
+    s.write_text(_nested_exec_scenario(depth, HALTING["events"][0]["tx"]["msgs"][0], 20))
+    argv = ["run", "--genesis", g, "--scenario", str(s)]
+    assert _main_from_deeper_stack(argv, frames) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert ("bad tx: msgs nested too deep" in err) == (code == 4)
 
 
 UNREADABLE_FILES = {

@@ -9,7 +9,6 @@ from luncsim.coins import (
     coins_as_strings,
     coins_from_config,
     coins_ge,
-    normalize,
 )
 from luncsim.errors import (
     InsufficientFunds,
@@ -29,10 +28,6 @@ def test_coin_rejects_negative_and_blank_denom():
         Coin("", 5)
 
 
-def test_normalize_drops_zero_entries():
-    assert normalize({"uluna": 0, "uusd": 9}) == {"uusd": 9}
-
-
 def test_coins_ge_per_denom():
     assert coins_ge({"uluna": 5, "uusd": 1}, {"uluna": 5})
     assert not coins_ge({"uluna": 5}, {"uluna": 5, "uusd": 1})
@@ -49,7 +44,7 @@ def test_coins_from_config_round_trip():
 
 coins_strategy = st.dictionaries(
     st.sampled_from(["uluna", "uusd", "usdr", "ukrw"]),
-    st.integers(min_value=0, max_value=10**18),
+    st.integers(min_value=1, max_value=10**18),
     max_size=4,
 )
 
@@ -57,7 +52,7 @@ coins_strategy = st.dictionaries(
 @given(a=coins_strategy, b=coins_strategy)
 def test_add_then_sub_round_trips(a, b):
     total = coins_add(a, b)
-    assert total == normalize({d: a.get(d, 0) + b.get(d, 0) for d in {*a, *b}})
+    assert total == {d: a.get(d, 0) + b.get(d, 0) for d in {*a, *b}}
     assert coins_ge(total, a) and coins_ge(total, b)
 
 

@@ -70,9 +70,9 @@ def test_tax_cap_lookup_falls_back_to_default():
 
 def test_record_epoch_burn_accumulates():
     ts = TreasuryState()
-    record_epoch_burn(ts, {"uluna": 10, "uusd": 0})
-    record_epoch_burn(ts, {"uluna": 5})
-    assert ts.epoch_burned == {"uluna": 15}
+    record_epoch_burn(ts, {"uluna": 10})
+    record_epoch_burn(ts, {"uluna": 5, "uusd": 3})
+    assert ts.epoch_burned == {"uluna": 15, "uusd": 3}
 
 
 def _epoch_setup(weight, burned):
