@@ -4,11 +4,16 @@ The CSV has one row per committed block (plus a flagged row for a block
 height at which the chain halted before committing): height, then for each
 denomination in sorted order the total supply, cumulative burn, and
 community-pool balance, then the halt flag. The CSV is written from the
-run's height runs `(first, last, *values)` (see `simulator`): `csv.writer`
-gets each run as a lazy sequence of per-height rows, so a long run is never
-expanded in memory. The summary carries final figures with every amount
-rendered as a decimal string, so values beyond 53-bit float safety survive
-any JSON reader.
+run's height runs `(first, last, *values)` (see `simulator`). A run's values
+are formatted once, into the row tail `,v1,...,vn\r\n` that follows every one
+of its heights, and its heights are joined with that tail `CHUNK_HEIGHTS` at
+a time. So a long run costs one format plus a C-level join per chunk, and the
+writer holds at most one chunk's text however long the run is. The bytes are
+those `csv.writer` writes for the per-height rows: the values are ints, which
+it writes as `str` does, and it still writes the header, whose denoms may
+need quoting. The summary carries final figures with every amount rendered as
+a decimal string, so values beyond 53-bit float safety survive any JSON
+reader.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from itertools import repeat
 
 from .coins import coins_as_strings
 from .ledger import COMMUNITY_POOL
@@ -25,6 +29,7 @@ from .state import state_hash
 
 CSV_NAME = "blocks.csv"
 SUMMARY_NAME = "summary.json"
+CHUNK_HEIGHTS = 4096   # heights joined into one string by `write_block_csv`
 
 
 def csv_header(denoms: list) -> list:
@@ -38,11 +43,12 @@ def csv_header(denoms: list) -> list:
 
 def write_block_csv(path: str, result: RunResult) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(csv_header(result.denoms))
+        csv.writer(fh).writerow(csv_header(result.denoms))
         for first, last, *values in result.rows:
-            # (height, *values) for each height of the run
-            writer.writerows(zip(range(first, last + 1), *map(repeat, values)))
+            tail = "," + ",".join(map(str, values)) + "\r\n"
+            for lo in range(first, last + 1, CHUNK_HEIGHTS):
+                hi = min(lo + CHUNK_HEIGHTS, last + 1)
+                fh.write(tail.join(map(str, range(lo, hi))) + tail)
 
 
 def build_summary(result: RunResult) -> dict:

@@ -32,7 +32,8 @@ Actions:
 
 Msg encoding: {"kind": "send", "sender": ..., "recipient": ...,
 "coins": [{"denom": ..., "amount": ...}]} and so on per kind; "exec" wraps
-{"sender": ..., "msgs": [...]}, and is refused nested past `MAX_EXEC_DEPTH` levels.
+{"sender": ..., "msgs": [...]}, and is refused nested past `MAX_EXEC_DEPTH` levels;
+a submit-proposal msg's proposal is refused nested past `MAX_PROPOSAL_DEPTH`.
 Events at the same height run in declaration order.
 
 Addresses, versions, vote options and denoms are strings; a sniper's
@@ -100,6 +101,36 @@ def _exec(raw: dict, depth: int = 1) -> dict:
         for m in raw["msgs"]]}
 
 
+# How deep a submit-proposal msg's raw proposal may nest, the proposal mapping
+# counting as one level. `Msg.canonical` takes two frames a level, so a proposal
+# at this depth, at the bottom of `MAX_EXEC_DEPTH` execs, still runs from a
+# stack 200 frames deeper than the command line's. Real proposals nest a few
+# levels.
+MAX_PROPOSAL_DEPTH = 50
+
+
+def _nests_within(value, limit: int) -> bool:
+    """True when no list or mapping in `value` lies more than `limit` levels
+    deep, `value` itself being level one. It walks one level at a time and
+    stops at the limit, so it needs no stack however deep `value` is."""
+    level = [value]
+    for _ in range(limit):
+        level = [x for v in level if isinstance(v, (list, dict))
+                 for x in (v.values() if isinstance(v, dict) else v)]
+        if not level:
+            return True
+    return not any(isinstance(v, (list, dict)) for v in level)
+
+
+def _proposal(raw: dict) -> dict:
+    """Governance checks the proposal when the msg runs; only its nesting is
+    bounded here, so that hashing the msg cannot overflow the stack."""
+    proposer, proposal = read(raw, "proposer", str), raw["proposal"]
+    if not _nests_within(proposal, MAX_PROPOSAL_DEPTH):
+        raise ParseError("bad tx: proposal nested too deep")
+    return {"proposer": proposer, "proposal": proposal}
+
+
 def _stake(name: str):
     return lambda raw: {"delegator": read(raw, "delegator", str),
                         "validator": read(raw, "validator", str),
@@ -129,9 +160,7 @@ _MSG_READERS = {
         "voter": read(raw, "voter", str),
         "proposal_id": integer(raw["proposal_id"], "proposal_id"),
         "option": read(raw, "option", str)},
-    # governance checks the proposal when the msg runs
-    MsgKind.SUBMIT_PROPOSAL: lambda raw: {
-        "proposer": read(raw, "proposer", str), "proposal": raw["proposal"]},
+    MsgKind.SUBMIT_PROPOSAL: _proposal,
 }
 # looked up by the kind's text: hashing an enum member runs Python code
 _KINDS = {kind.value: (kind, reader) for kind, reader in _MSG_READERS.items()}

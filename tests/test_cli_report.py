@@ -13,7 +13,7 @@ from luncsim import build_bundled, errors
 from luncsim.cli import main
 from luncsim.genesis import build_state
 from luncsim.report import build_summary, csv_header, write_reports
-from luncsim.scenario import MAX_EXEC_DEPTH, parse_scenario
+from luncsim.scenario import MAX_EXEC_DEPTH, MAX_PROPOSAL_DEPTH, parse_scenario
 from luncsim.simulator import run_scenario
 
 GENESIS = {
@@ -474,10 +474,11 @@ SEND = {"kind": "send", "sender": "alice", "recipient": "bob",
 
 
 def _nested_exec_scenario(depth: int, leaf=SEND, height: int = 2) -> str:
-    """JSON text of a scenario whose one tx, at `height`, wraps `leaf` in
-    `depth` execs (json.dumps itself refuses to nest that deep)."""
-    msg = '{"kind": "exec", "sender": "alice", "msgs": [' * depth + json.dumps(leaf) \
-        + "]}" * depth
+    """JSON text of a scenario whose one tx, at `height`, wraps `leaf` (a msg,
+    or the JSON text of a comma-separated list of msgs) in `depth` execs
+    (json.dumps itself refuses to nest that deep)."""
+    leaf = leaf if isinstance(leaf, str) else json.dumps(leaf)
+    msg = '{"kind": "exec", "sender": "alice", "msgs": [' * depth + leaf + "]}" * depth
     return ('{"name": "deep", "end_height": %d, "events": [{"at_height": %d, '
             '"action": "submit-tx", "tx": {"fee_payer": "alice", "msgs": [%s]}}]}'
             % (height + 1, height, msg))
@@ -512,6 +513,34 @@ def test_exec_depth_is_a_property_of_the_input(tmp_path, capsys, depth, frames, 
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert ("bad tx: msgs nested too deep" in err) == (code == 4)
+
+
+def _deep_proposal_msg(depth: int) -> str:
+    """JSON text of a submit-proposal msg whose proposal nests `depth` levels:
+    the proposal mapping, then a list nested `depth - 1` deep."""
+    return ('{"kind": "submit-proposal", "proposer": "alice", "proposal": '
+            '{"kind": "text", "title": "deep", "memo": %s}}'
+            % ("[" * (depth - 1) + "]" * (depth - 1)))
+
+
+@pytest.mark.parametrize("depth, execs, frames, code", [
+    (MAX_PROPOSAL_DEPTH, MAX_EXEC_DEPTH, 200, 2), (MAX_PROPOSAL_DEPTH + 1, MAX_EXEC_DEPTH, 200, 4),
+    (901, 0, 0, 4)])
+def test_proposal_depth_is_bounded_by_the_reader(tmp_path, capsys, depth, execs, frames, code):
+    """A delegate and a submit-proposal whose proposal nests `depth` levels, at
+    the bottom of `execs` execs, in a block whose versions run different rules.
+    At the bound the halted block's mempool is hashed from a stack 200 frames
+    deeper than the command line's, and the chain halts; past it, and for a
+    list nested 900 deep, the tx is refused as input."""
+    g = _write(tmp_path, "g.json", GENESIS)
+    s = tmp_path / "s.json"
+    leaf = json.dumps(HALTING["events"][0]["tx"]["msgs"][0]) + ", " + _deep_proposal_msg(depth)
+    s.write_text(_nested_exec_scenario(execs, leaf, 20))
+    argv = ["run", "--genesis", g, "--scenario", str(s)]
+    assert _main_from_deeper_stack(argv, frames) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert ("bad tx: proposal nested too deep" in err) == (code == 4)
 
 
 UNREADABLE_FILES = {

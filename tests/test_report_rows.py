@@ -4,16 +4,20 @@
 blocks.csv row per height. These tests check that the list is canonical (no
 two neighbouring runs could be merged), that the CSV written from the runs
 is byte for byte what `csv.writer` writes for the expanded per-height rows,
-and that a long idle tail adds no rows.
+on a replay and on drawn run lists, that writing a long run holds a bounded
+amount of memory, and that a long idle tail adds no rows.
 """
 
 import csv
 import io
+import tracemalloc
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from luncsim import BUNDLED_SCENARIOS, build_bundled, build_state, parse_scenario, run_scenario
-from luncsim.report import CSV_NAME, csv_header, write_reports
+from luncsim.report import CHUNK_HEIGHTS, CSV_NAME, csv_header, write_block_csv, write_reports
 from luncsim.simulator import Chain
 
 from fuzztools import build_fuzz_configs
@@ -100,11 +104,67 @@ def test_csv_from_runs_matches_csv_writer_on_expanded_rows(tmp_path):
     assert [r[-1] for r in rows] == [0, 0, 0, 0, 1, 0, 0, 0]
 
     write_reports(str(tmp_path), result)
+    assert (tmp_path / CSV_NAME).read_bytes() == _csv_writer_bytes(result.denoms, rows)
+
+
+def _csv_writer_bytes(denoms, rows) -> bytes:
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
-    writer.writerow(csv_header(result.denoms))
+    writer.writerow(csv_header(denoms))
     writer.writerows(_expanded(rows))
-    assert (tmp_path / CSV_NAME).read_bytes() == expected.getvalue().encode()
+    return expected.getvalue().encode()
+
+
+# a run starts at 0 or just below a digit-count change or a chunk multiple,
+# and is shorter than a chunk, exactly one, or one height past it
+_starts = st.builds(lambda pivot, back: max(0, pivot - back),
+                    st.sampled_from([0, 10, 100, 10_000, CHUNK_HEIGHTS, 10**7]),
+                    st.integers(0, 12))
+_lengths = st.integers(1, 40) | st.sampled_from([CHUNK_HEIGHTS - 1, CHUNK_HEIGHTS,
+                                                 CHUNK_HEIGHTS + 1])
+_amounts = st.integers(0, 10**6) | st.integers(0, 10**40)
+
+
+@st.composite
+def _run_lists(draw):
+    denoms = draw(st.lists(st.sampled_from(["uluna", "uusd", "u,luna", 'u"sd', "stake"]),
+                           min_size=1, max_size=3, unique=True))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        # a run follows the last one, or starts again lower after a halt or rollback
+        first = rows[-1][1] + 1 if rows and draw(st.booleans()) else draw(_starts)
+        last = first + draw(_lengths) - 1
+        values = [draw(_amounts) for _ in range(3 * len(denoms))]
+        rows.append((first, last, *values, draw(st.sampled_from([0, 1]))))
+    return sorted(denoms), rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(runs=_run_lists())
+@example(runs=(["u,luna", 'u"sd'], [(0, CHUNK_HEIGHTS - 1, 1, 2, 3, 4, 5, 6, 0),
+                                    (CHUNK_HEIGHTS, 2 * CHUNK_HEIGHTS, 7, 8, 9, 10, 11, 12, 1)]))
+@example(runs=(["uluna"], [(9_995, 10_005 + CHUNK_HEIGHTS, 10**30, 0, 7, 0),
+                           (5, 120, 1, 2, 3, 1)]))
+def test_csv_from_drawn_runs_matches_csv_writer(runs, tmp_path_factory):
+    denoms, rows = runs
+    path = tmp_path_factory.mktemp("csv") / CSV_NAME
+    write_block_csv(str(path), SimpleNamespace(denoms=denoms, rows=rows))
+    assert path.read_bytes() == _csv_writer_bytes(denoms, rows)
+
+
+def test_writing_a_long_run_holds_bounded_memory(tmp_path):
+    # one run of 300,000 heights is 12.8 MB of text, all of it held by a whole-run join
+    result = SimpleNamespace(denoms=["uluna"],
+                             rows=[(1, 300_000, 6_543_210_987_654, 123_456_789_012, 98_765, 0)])
+    path = tmp_path / CSV_NAME
+    tracemalloc.start()
+    try:
+        write_block_csv(str(path), result)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 10 * 10**6
+    assert peak < 2**20
 
 
 def test_idle_tail_adds_no_rows(monkeypatch):
