@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from luncsim import build_state, parse_scenario, run_scenario
 from luncsim.ante import (
     AnteConfig,
     Msg,
@@ -169,3 +170,61 @@ def test_tx_validation():
         Tx(msgs=[send_msg(1)], fee_payer="")
     with pytest.raises(ValueError):
         Tx(msgs=[send_msg(1)], fee_payer="alice", gas_limit=-1)
+
+
+# -- the tax is staged through the BurnModule before it is burned --------------
+
+def _burn_module_run(seed):
+    """Taxed txs over a genesis BurnModule seeded with `seed` uluna.
+
+    The txs land in a one-version block, in a block evaluated per version
+    (val2 runs v20, and a delegate past the revert height differs between
+    versions), and in a block with a rejected tx.
+    """
+    def coins(amount):
+        return [{"denom": "uluna", "amount": str(amount)}]
+
+    def send(payer, fee, amount=1_000_000):
+        return {"fee_payer": payer, "declared_fee": coins(fee), "msgs": [
+            {"kind": "send", "sender": payer, "recipient": "bob", "coins": coins(amount)}]}
+
+    genesis = {
+        "chain_id": "t", "genesis_height": 0,
+        "accounts": [{"address": a, "denom": "uluna", "amount": "50000000"}
+                     for a in ("alice", "bob", "carol")],
+        "module_accounts": [{"module": BURN_MODULE, "denom": "uluna", "amount": seed}],
+        "staking": {"gates": {"staking_power_upgrade_height": 5,
+                              "delegate_power_revert_height": 10,
+                              "staking_power_revert_height": 10**6,
+                              "protect_power_height": 10},
+                    "validators": [{"address": "val1", "tokens": "30000000"},
+                                   {"address": "val2", "tokens": "10000000",
+                                    "version": "v20"}]},
+        "treasury": {"tax_rate": "0.012"},
+        "ante": {"gas_price": "0"},
+    }
+    delegate = {"fee_payer": "carol", "declared_fee": coins(1), "msgs": [
+        {"kind": "delegate", "delegator": "carol", "validator": "val2",
+         "amount": {"denom": "uluna", "amount": "1000000"}}]}
+    events = [(3, send("alice", 12_000)), (3, send("bob", 36_000, 3_000_000)),
+              (12, send("alice", 13_000)), (12, delegate), (12, send("carol", 12_000)),
+              (14, send("bob", 11_999)), (14, send("carol", 12_000))]
+    scenario = {"name": "burn-staging", "end_height": 16, "events": [
+        {"at_height": h, "action": "submit-tx", "tx": tx} for h, tx in events]}
+    return run_scenario(build_state(genesis), parse_scenario(scenario))
+
+
+@pytest.mark.parametrize("seed, burn_module, final_hash", [
+    # the staged move ends each burn by dropping the genesis zero entry
+    (0, {}, "5f3b15bb7ff96dd4c09742dd93af0f679d94fe1bc83429e88d302a41fb2d59dc"),
+    (5, {"uluna": 5}, "cd25eef022df6883f3ea9d473e98cf094aec102430f64a2de5e5f14e6ee3335f"),
+], ids=["seeded-0", "seeded-5"])
+def test_burn_staging_keeps_the_burn_module_bytes(seed, burn_module, final_hash):
+    result = _burn_module_run(seed)
+    assert result.tx_log == {3: [("ok", ""), ("ok", "")],
+                             12: [("ok", ""), ("ok", ""), ("ok", "")],
+                             14: [("rejected", "InsufficientFunds"), ("ok", "")]}
+    bank = result.final_state.bank
+    assert bank.modules[BURN_MODULE] == burn_module
+    assert bank.supply.cumulative_burned == {"uluna": 4 * 12_000 + 36_000}
+    assert result.final_hash == final_hash
