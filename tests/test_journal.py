@@ -343,6 +343,41 @@ def test_apply_txs_matches_the_deepcopy_oracle(raw_txs, version):
     verify_invariants(state)
 
 
+# -- property: a raising ante pipeline has written nothing --------------------
+# apply_txs runs ante outside the tx's journal branch and rolls nothing back
+# when it raises, so a raise must leave the state and the undo log as they were.
+
+_fee = st.lists(st.tuples(st.sampled_from(["uluna", "uusd", "ukrw"]),
+                          st.sampled_from([1, 4_999, 5_000, 60_000, 9 * M, 60 * M])),
+                max_size=3)
+_ante_tx = st.builds(
+    lambda payer, fee, gas, msgs: {
+        "fee_payer": payer, "gas_limit": gas, "msgs": msgs,
+        "declared_fee": [{"denom": d, "amount": str(a)} for d, a in fee]},
+    _addr, _fee, st.sampled_from([0, 1_000, 10**6]), st.lists(_msg, min_size=1, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=_ante_tx, gas_price=st.sampled_from([Fraction(0), Fraction(1, 100)]),
+       in_branch=st.booleans())
+def test_ante_raises_only_before_its_first_write(raw, gas_price, in_branch):
+    state = _state()
+    state.ante.gas_price = gas_price
+    journal = state.journal
+    if in_branch:
+        # a version's branch that already holds a committed tx's writes
+        journal.begin()
+        assert apply_txs(state, _pending([_tx([_send("bob", "carol", M)], payer="bob")]),
+                         HEIGHT, "v21") == [("ok", "")]
+        assert journal._depth == 1 and journal._undo
+    before = (state_hash(state), journal._depth, len(journal._undo))
+    try:
+        ante_mod.run_ante_pipeline(state.bank, state.treasury, state.ante,
+                                   read_tx(raw), HEIGHT)
+    except SimError:
+        assert (state_hash(state), journal._depth, len(journal._undo)) == before
+
+
 def test_standalone_stores_branch_on_their_own_journal():
     bank = fresh_bank([("alice", "uluna", 50 * M)])
     st_state = staking_fixture(bank=bank, validators=[("val1", 10 * M)])
