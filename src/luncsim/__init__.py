@@ -12,7 +12,6 @@ from .coins import MICRO, Coin, coins_add
 from .errors import (
     ChainHalted,
     InsufficientFunds,
-    InternalInconsistency,
     InvariantViolation,
     MsgNotSupported,
     NonNativeAsset,
@@ -20,7 +19,7 @@ from .errors import (
     PowerCapExceeded,
     SimError,
 )
-from .fees import FeeEstimate, deduct_tax, estimate_fee, simple_tax_params
+from .fees import FeeEstimate, estimate_fee, simple_tax_params
 from .genesis import build_state, load_genesis_file
 from .ledger import Bank
 from .scenario import Scenario, load_scenario_file, parse_scenario
@@ -48,7 +47,6 @@ __all__ = [
     "FeeEstimate",
     "HeightGates",
     "InsufficientFunds",
-    "InternalInconsistency",
     "InvariantViolation",
     "MAINNET_DELEGATE_POWER_REVERT_HEIGHT",
     "MAINNET_STAKING_POWER_REVERT_HEIGHT",
@@ -70,7 +68,6 @@ __all__ = [
     "build_state",
     "check_power_cap",
     "coins_add",
-    "deduct_tax",
     "estimate_fee",
     "load_genesis_file",
     "load_scenario_file",

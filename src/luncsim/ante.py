@@ -1,12 +1,11 @@
 """Transaction admission: fee checking, fee deduction, and the burn tax.
 
-A transaction passes through two stages. The fee stage verifies the declared
-fee covers gas plus the transfer tax owed by the message contents and moves
-the whole declared fee into the fee collector. The burn stage (inert below
-the tax activation height) recomputes the tax owed --
-deliberately redundant, the two computations must agree -- then moves that
-amount from the fee collector into the burn staging account, destroys it,
-and records the burn in the treasury's epoch counter.
+A transaction passes through two stages. The fee stage computes the transfer
+tax owed by the message contents, verifies the declared fee covers gas plus
+that tax, and moves the whole declared fee into the fee collector. The burn
+stage (inert below the tax activation height) moves the same tax from the
+fee collector into the burn staging account, destroys it, and records the
+burn in the treasury's epoch counter.
 
 Tax owed per eligible message is, per denomination,
 
@@ -25,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coins import Coin, coins_add, coins_ge
-from .errors import InsufficientFunds, InternalInconsistency
+from .errors import InsufficientFunds
 from .ledger import BURN_MODULE, FEE_COLLECTOR
 from . import treasury as treasury_mod
 
@@ -129,9 +128,11 @@ class AnteConfig:
 
 
 def tax_params(ts: treasury_mod.TreasuryState, cfg: AnteConfig) -> TaxComputationParams:
+    """The treasury's current tax settings; the params share, and never write,
+    its `tax_caps`."""
     return TaxComputationParams(
         tax_rate=ts.tax_rate,
-        tax_caps=dict(ts.tax_caps),
+        tax_caps=ts.tax_caps,
         default_tax_cap=ts.default_tax_cap,
         exempt_denoms=cfg.exempt_denoms,
     )
@@ -191,46 +192,26 @@ def required_gas_fee(cfg: AnteConfig, gas_limit: int) -> dict:
     return {cfg.gas_denom: -(-num // den)}
 
 
-def burn_tax_decorator(bank, ts: treasury_mod.TreasuryState, tx: Tx,
-                       params: TaxComputationParams) -> dict:
-    """Burn the tax owed by an admitted tx out of the collected fee.
-
-    Assumes the declared fee already sits in the fee collector and the tax
-    is active at this height. Returns the burned coin set.
-    """
-    taxes = filter_msgs_and_compute_tax(tx.msgs, params)
-    if not taxes:
-        return {}
-    bank.send_module_to_module(FEE_COLLECTOR, BURN_MODULE, taxes)
-    bank.burn(BURN_MODULE, taxes)
-    treasury_mod.record_epoch_burn(ts, taxes)
-    return taxes
-
-
 def run_ante_pipeline(bank, ts: treasury_mod.TreasuryState, cfg: AnteConfig,
                       tx: Tx, height: int) -> dict:
     """Admit a tx: fee checks, fee deduction, then the burn stage.
 
     Raises InsufficientFunds when the declared fee cannot cover gas plus tax
-    or the payer cannot cover the declared fee; in that case no state was
-    touched. Returns the coins burned as tax (empty when inert).
+    or the payer cannot cover the declared fee; both are found before the
+    first write, so a raise leaves the state untouched. Returns the coins
+    burned as tax (empty when inert).
     """
-    params = tax_params(ts, cfg)
     tax_active = height >= cfg.tax_power_upgrade_height
-    expected_tax = filter_msgs_and_compute_tax(tx.msgs, params) if tax_active else {}
-    required = coins_add(required_gas_fee(cfg, tx.gas_limit), expected_tax)
+    tax = filter_msgs_and_compute_tax(tx.msgs, tax_params(ts, cfg)) if tax_active else {}
+    required = coins_add(required_gas_fee(cfg, tx.gas_limit), tax)
     if not coins_ge(tx.declared_fee, required):
         raise InsufficientFunds(
             f"declared fee {tx.declared_fee} does not cover gas+tax {required}"
         )
     bank.send_account_to_module(tx.fee_payer, FEE_COLLECTOR, tx.declared_fee)
-    if not tax_active:
-        return {}
-    burned = burn_tax_decorator(bank, ts, tx, params)
-    # The fee stage and the burn stage compute the tax independently; a
-    # mismatch means the pipeline itself is broken, not the tx.
-    if burned != expected_tax:
-        raise InternalInconsistency(
-            f"fee stage saw tax {expected_tax}, burn stage saw {burned}"
-        )
-    return burned
+    if tax:
+        # staged through the BurnModule: the move drops a genesis zero entry there
+        bank.send_module_to_module(FEE_COLLECTOR, BURN_MODULE, tax)
+        bank.burn(BURN_MODULE, tax)
+        treasury_mod.record_epoch_burn(ts, tax)
+    return tax

@@ -59,7 +59,10 @@ def coins_add(a: dict, b: dict) -> dict:
 
 def coins_ge(a: dict, b: dict) -> bool:
     """True when a covers b in every denomination."""
-    return all(a.get(d, 0) >= amt for d, amt in b.items())
+    for d, amt in b.items():
+        if a.get(d, 0) < amt:
+            return False
+    return True
 
 
 def coins_from_config(entries) -> dict:

@@ -65,10 +65,6 @@ class NonNativeAsset(SimError):
     """Tax helpers only operate on native coin denominations."""
 
 
-class InternalInconsistency(SimError):
-    """Two redundant computations of the same quantity disagreed."""
-
-
 class InvariantViolation(SimError):
     """A conservation identity failed; the run must stop."""
 

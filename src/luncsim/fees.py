@@ -5,8 +5,8 @@ The full fee a wallet must declare for a transfer is
     newFee = min(floor(taxRate * amount), taxCap) + gasFee
 
 and the amount a contract actually receives after the chain skims the tax is
-``deduct_tax = amount - tax``. Both helpers operate on native denominations
-only; token (contract) assets never pay transfer tax and asking is an error.
+``after_tax = amount - tax``. The estimate covers native denominations only;
+token (contract) assets never pay transfer tax and asking is an error.
 """
 
 from __future__ import annotations
@@ -46,29 +46,16 @@ class FeeEstimate:
         }
 
 
-def _tax_for(amount: int, denom: str, params: TaxComputationParams,
-             native_denoms: frozenset) -> int:
-    if denom not in native_denoms:
-        raise NonNativeAsset(f"cannot compute transfer tax for token asset {denom!r}")
-    return compute_tax({denom: amount}, params).get(denom, 0)
-
-
 def estimate_fee(amount: int, denom: str, gas_fee: int,
                  params: TaxComputationParams,
                  native_denoms: frozenset = DEFAULT_NATIVE_DENOMS) -> FeeEstimate:
     """Declared fee needed for a send of `amount` plus a fixed gas fee."""
     if amount < 0 or gas_fee < 0:
         raise ValueError("amount and gas fee must be non-negative")
-    tax = _tax_for(amount, denom, params, native_denoms)
+    if denom not in native_denoms:
+        raise NonNativeAsset(f"cannot compute transfer tax for token asset {denom!r}")
+    tax = compute_tax({denom: amount}, params).get(denom, 0)
     return FeeEstimate(amount=amount, denom=denom, tax=tax, gas_fee=gas_fee)
-
-
-def deduct_tax(amount: int, denom: str, params: TaxComputationParams,
-               native_denoms: frozenset = DEFAULT_NATIVE_DENOMS) -> int:
-    """What remains of a native transfer after the chain takes its tax."""
-    if amount < 0:
-        raise ValueError("amount must be non-negative")
-    return amount - _tax_for(amount, denom, params, native_denoms)
 
 
 def simple_tax_params(rate, cap: int | None = None,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import copy
+from copy import copy
 
 _MISSING = object()
 
@@ -10,12 +10,12 @@ _MISSING = object()
 class Journal:
     """Undo log that lets a ChainState branch and then commit or discard.
 
-    `begin` opens a branch and returns the mark that discards all of it;
-    `mark` returns a later restore point inside it. Before its first write to
-    `table[key]` in a segment (since the last mark), a writer calls
-    `save(table, key)`, which records a shallow copy of the entry, or that it
-    was missing. A table is a long-lived container: a dict of entries or an
-    object's `vars()`. `save_len` records a list's length before an append.
+    `begin` opens a branch and returns the mark that discards all of it.
+    Before its first write to `table[key]` in a segment (since the last
+    `begin` or `rollback`), a writer calls `save(table, key)`, which records
+    a shallow copy of the entry, or that it was missing. A table is a
+    long-lived container: a dict of entries or an object's `vars()`.
+    `save_len` records a list's length before an append.
     `rollback(mark)` restores every entry saved since `mark`, newest first,
     so the oldest pre-image wins. `commit` closes the innermost branch and
     keeps its writes; branches nest, so a tx commits into the version branch
@@ -25,14 +25,11 @@ class Journal:
 
     def __init__(self):
         self._undo: list = []     # (table, key, pre-image) in write order
-        self._saved: set = set()  # (id(table), key) saved since the last mark
+        self._saved: set = set()  # (id(table), key) saved in this segment
         self._depth = 0
 
     def begin(self) -> int:
         self._depth += 1
-        return self.mark()
-
-    def mark(self) -> int:
         self._saved.clear()
         return len(self._undo)
 
@@ -44,7 +41,11 @@ class Journal:
             return
         self._saved.add(tag)
         old = table.get(key, _MISSING)
-        self._undo.append((table, key, old if old is _MISSING else copy.copy(old)))
+        if type(old) is dict:
+            old = old.copy()
+        elif old is not _MISSING:
+            old = copy(old)
+        self._undo.append((table, key, old))
 
     def save_len(self, items: list) -> None:
         if not self._depth:

@@ -160,27 +160,30 @@ def execute_msg(state: ChainState, msg: Msg, height: int, version: str) -> None:
 def apply_txs(state: ChainState, pending: list, height: int, version: str) -> list:
     """Run txs against `state` in place; returns one (status, error) per tx.
 
-    Each tx is atomic and runs as a journal branch with two marks: an
-    admission failure rolls back to the mark taken before the ante pipeline,
-    leaving the pre-tx state, and a message failure rolls back to the mark
-    taken after it, so fees stay collected. Inside an enclosing branch (one
-    version's evaluation of a block) each tx commits into that branch.
+    Each tx is atomic. The ante pipeline runs first, outside the tx's journal
+    branch: it raises only before its first write, so a rejected tx leaves
+    nothing to undo. The msgs then run in the tx's branch, which a msg
+    failure rolls back to its one mark, so the fees stay collected. Inside an
+    enclosing branch (one version's evaluation of a block) that branch
+    records the ante writes, and each tx commits into it.
     """
     journal = state.journal
     results = []
     for ptx in pending:
-        # until admission, a failure rejects the tx and undoes everything
-        status, restore = "rejected", journal.begin()
         try:
             ante_mod.run_ante_pipeline(state.bank, state.treasury, state.ante,
                                        ptx.tx, height)
-            status, restore = "failed", journal.mark()
+        except SimError as exc:
+            results.append(("rejected", type(exc).__name__))
+            continue
+        restore = journal.begin()
+        try:
             for msg in ptx.tx.msgs:
                 execute_msg(state, msg, height, version)
             results.append(("ok", ""))
         except SimError as exc:
             journal.rollback(restore)
-            results.append((status, type(exc).__name__))
+            results.append(("failed", type(exc).__name__))
         finally:
             journal.commit()
     return results

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from luncsim.errors import NonNativeAsset
-from luncsim.fees import deduct_tax, estimate_fee, simple_tax_params
+from luncsim.fees import estimate_fee, simple_tax_params
 
 
 def test_estimate_matches_worked_example():
@@ -28,10 +28,10 @@ def test_estimate_respects_cap():
     assert estimate_fee(10**9, "uusd", 0, params).tax == 100
 
 
-def test_deduct_tax_returns_spendable_remainder():
+def test_after_tax_returns_spendable_remainder():
     params = simple_tax_params(Fraction("0.012"))
-    assert deduct_tax(1_000_000, "uluna", params) == 988_000
-    assert deduct_tax(0, "uluna", params) == 0
+    assert estimate_fee(1_000_000, "uluna", 0, params).after_tax == 988_000
+    assert estimate_fee(0, "uluna", 0, params).after_tax == 0
 
 
 def test_non_native_assets_refused():
@@ -39,10 +39,10 @@ def test_non_native_assets_refused():
     with pytest.raises(NonNativeAsset):
         estimate_fee(100, "ibc/27394FB0", 0, params)
     with pytest.raises(NonNativeAsset):
-        deduct_tax(100, "wbtc", params)
+        estimate_fee(100, "wbtc", 0, params)
     # a custom native set widens the door
-    assert deduct_tax(100, "ukrw", params,
-                      native_denoms=frozenset({"ukrw"})) == 99
+    assert estimate_fee(100, "ukrw", 0, params,
+                        native_denoms=frozenset({"ukrw"})).after_tax == 99
 
 
 def test_exempt_denom_quotes_zero_tax():

@@ -199,17 +199,17 @@ def _watch_journal(val2_version, gates, monkeypatch):
 def test_journal_is_empty_after_every_tx_and_every_block(val2_version, monkeypatch):
     seen = _watch_journal(val2_version, NEAR_GATES, monkeypatch)
     if val2_version == "v21":
-        # one version: each tx opens its own branch on an empty log
-        assert seen == [(1, 0)] * (2 * 4)
+        # one version: ante runs before the tx's branch, on an empty log
+        assert seen == [(0, 0)] * (2 * 4)
     else:
-        # two versions with different rules: each tx branches inside the
-        # version's branch
+        # two versions with different rules: ante runs inside the version's
+        # branch, which records its writes
         assert len(seen) == 2 * 2 * 4
-        assert {depth for depth, _ in seen} == {2}
+        assert {depth for depth, _ in seen} == {1}
         # with the gates out of reach both versions run the same rules, so
         # each block is evaluated once, like a one-version block
         seen = _watch_journal(val2_version, FAR_GATES, monkeypatch)
-        assert seen == [(1, 0)] * (2 * 4)
+        assert seen == [(0, 0)] * (2 * 4)
 
 
 def _version_oracle(state, pending, versions, power):
