@@ -117,7 +117,7 @@ def build_state(cfg: dict) -> ChainState:
     staking_state = StakingState(gates=gates, params=params)
 
     bank = Bank(DEFAULT_MODULE_ACCOUNTS)
-    balances: dict = {}
+    columns: dict = {}
     totals: dict = {}
     try:   # one pass, converting inline: `integer` is called only to raise its error
         for entry in read(cfg, "accounts", list, []):
@@ -132,14 +132,14 @@ def build_state(cfg: dict) -> ChainState:
                 integer(entry["amount"], "accounts[].amount", low=0)
                 key = "address" if type(address) is not str else "denom"
                 raise ParseError(f"accounts[].{key} must be a string, got {entry[key]!r}")
-            coins = balances.setdefault(address, {})
-            coins[denom] = coins.get(denom, 0) + amount
+            col = columns.setdefault(denom, {})
+            col[address] = col.get(address, 0) + amount
             totals[denom] = totals.get(denom, 0) + amount
     except KeyError as exc:
         raise ParseError(f"account entry missing {exc}") from exc
     except TypeError as exc:   # an entry that is no mapping
         raise ParseError(f"accounts[] entry must be a mapping, got {entry!r}") from exc
-    bank.genesis_credit_accounts(balances, totals)
+    bank.genesis_credit_accounts(columns, totals)
     for entry in read(cfg, "module_accounts", list, []):
         module = read(entry, "module", str, name="module_accounts[].module")
         try:

@@ -20,35 +20,33 @@ class Journal:
     so the oldest pre-image wins. `commit` closes the innermost branch and
     keeps its writes; branches nest, so a tx commits into the version branch
     around it, and the outermost commit empties the log. Outside a branch
-    `save` records nothing.
+    (`depth` 0) `save` records nothing, and a hot writer skips the call.
     """
 
     def __init__(self):
         self._undo: list = []     # (table, key, pre-image) in write order
         self._saved: set = set()  # (id(table), key) saved in this segment
-        self._depth = 0
+        self.depth = 0
 
     def begin(self) -> int:
-        self._depth += 1
+        self.depth += 1
         self._saved.clear()
         return len(self._undo)
 
     def save(self, table, key) -> None:
-        if not self._depth:
+        if not self.depth:
             return
         tag = (id(table), key)
         if tag in self._saved:
             return
         self._saved.add(tag)
         old = table.get(key, _MISSING)
-        if type(old) is dict:
-            old = old.copy()
-        elif old is not _MISSING:
-            old = copy(old)
+        if type(old) is not int and old is not _MISSING:   # an int is kept as it is
+            old = old.copy() if type(old) is dict else copy(old)
         self._undo.append((table, key, old))
 
     def save_len(self, items: list) -> None:
-        if not self._depth:
+        if not self.depth:
             return
         tag = (id(items), None)
         if tag in self._saved:
@@ -68,7 +66,7 @@ class Journal:
         self._saved.clear()
 
     def commit(self) -> None:
-        self._depth -= 1
-        if not self._depth:
+        self.depth -= 1
+        if not self.depth:
             self._undo.clear()
             self._saved.clear()

@@ -2,20 +2,30 @@
 
 The bank holds user accounts and a fixed registry of named module accounts
 (fee collection, burn staging, community pool, bond pools, treasury, reward
-accrual). Every mint and burn is recorded so the supply identity
+accrual). Balances are stored by denom, one column per denom:
+`accounts[denom][address]` and `modules[denom][module]`, like the
+denom-to-address index Cosmos SDK's x/bank keeps beside its balances. A
+stored amount is > 0, or a 0 seeded at genesis. Readers that want one
+owner's coins (`balances`, `module_balances`, `account_entries`,
+`canonical`) regroup the columns by owner when they read them. A column,
+once made, is never removed: the undo journal tags its entries by the
+column's id.
+
+Every mint and burn is recorded so the supply identity
 
     total supply == genesis supply + cumulative minted - cumulative burned
 
 can be checked per denomination at any block boundary, alongside the
-balance-sum identity (total supply == sum of every account and module
-balance).
+balance-sum identity (total supply == sum of the denom's account and module
+columns) and the coin contract (no stored amount is negative). The check
+reads every stored balance, with one `sum` and one `min` per column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coins import coins_ge, coins_as_strings
+from .coins import coins_as_strings
 from .errors import InsufficientFunds, InvariantViolation, UnknownModule
 from .journal import Journal
 
@@ -61,8 +71,9 @@ class Bank:
     """Mutable balance store. All operations either complete or raise."""
 
     def __init__(self, module_names=DEFAULT_MODULE_ACCOUNTS):
-        self.accounts: dict = {}
-        self.modules: dict = {name: {} for name in module_names}
+        self.module_names = tuple(module_names)
+        self.accounts: dict = {}   # {denom: {address: amount}}
+        self.modules: dict = {}    # {denom: {module: amount}}
         self.supply = SupplyLedger()
         # the owning ChainState's undo journal, or the bank's own
         self.journal = Journal()
@@ -74,10 +85,10 @@ class Bank:
         self._bump(self.supply.totals, denom, amount)
         self._bump(self.supply.genesis_totals, denom, amount)
 
-    def genesis_credit_accounts(self, balances: dict, totals: dict) -> None:
-        """Adopt {address: {denom: amount >= 0}} as the accounts of a bank with
-        none; `totals` holds each denom's sum over them."""
-        self.accounts = balances
+    def genesis_credit_accounts(self, columns: dict, totals: dict) -> None:
+        """Adopt {denom: {address: amount >= 0}} as the accounts of a bank with
+        none; `totals` holds each column's sum."""
+        self.accounts = columns
         for d, a in totals.items():
             self._bump(self.supply.totals, d, a)
             self._bump(self.supply.genesis_totals, d, a)
@@ -91,16 +102,18 @@ class Bank:
     # -- queries -----------------------------------------------------------
 
     def balance(self, address: str, denom: str) -> int:
-        return self.accounts.get(address, {}).get(denom, 0)
+        return self.accounts.get(denom, {}).get(address, 0)
 
     def balances(self, address: str) -> dict:
-        return dict(self.accounts.get(address, {}))
+        return _owned(self.accounts, address)
 
     def module_balance(self, name: str, denom: str) -> int:
-        return self._module(name).get(denom, 0)
+        self._module(name)
+        return self.modules.get(denom, {}).get(name, 0)
 
     def module_balances(self, name: str) -> dict:
-        return dict(self._module(name))
+        self._module(name)
+        return _owned(self.modules, name)
 
     def total_supply(self, denom: str) -> int:
         return self.supply.totals.get(denom, 0)
@@ -148,21 +161,23 @@ class Bank:
     # -- identity checks ---------------------------------------------------
 
     def verify_supply_identity(self) -> None:
-        denoms = set(self.supply.totals) | set(self.supply.genesis_totals)
-        denoms |= set(self.supply.cumulative_minted) | set(self.supply.cumulative_burned)
+        """A full walk over every stored balance, one `sum` and one `min` a column."""
+        supply = self.supply
         held: dict = {}
-        for bal in self.accounts.values():
-            for d, a in bal.items():
-                held[d] = held.get(d, 0) + a
-        for bal in self.modules.values():
-            for d, a in bal.items():
-                held[d] = held.get(d, 0) + a
-        for d in denoms | set(held):
-            total = self.supply.totals.get(d, 0)
+        for table in (self.accounts, self.modules):
+            for d, col in table.items():
+                if min(col.values(), default=0) < 0:
+                    owner = min(col, key=col.get)
+                    raise InvariantViolation(f"negative balance: {owner} holds {col[owner]} {d}")
+                held[d] = held.get(d, 0) + sum(col.values())
+        denoms = {*supply.totals, *supply.genesis_totals, *supply.cumulative_minted,
+                  *supply.cumulative_burned, *held}
+        for d in denoms:
+            total = supply.totals.get(d, 0)
             expected = (
-                self.supply.genesis_totals.get(d, 0)
-                + self.supply.cumulative_minted.get(d, 0)
-                - self.supply.cumulative_burned.get(d, 0)
+                supply.genesis_totals.get(d, 0)
+                + supply.cumulative_minted.get(d, 0)
+                - supply.cumulative_burned.get(d, 0)
             )
             if total != expected:
                 raise InvariantViolation(
@@ -175,64 +190,74 @@ class Bank:
 
     def account_entries(self):
         """The account table as hashed: (address, balance with string amounts)
-        in address order, empty balances skipped."""
-        accounts = self.accounts
-        for addr in sorted(accounts):
-            bal = accounts[addr]
-            if bal:
-                yield addr, coins_as_strings(bal)
+        in address order, regrouped from the columns. An address with no
+        stored amount is skipped; a genesis zero is kept."""
+        cols = [(d, col) for d, col in self.accounts.items() if col]
+        if len(cols) == 1:   # one held denom: nothing to regroup
+            d, col = cols[0]
+            for addr in sorted(col):
+                yield addr, {d: str(col[addr])}
+            return
+        for addr in sorted(set().union(*(col for _, col in cols))):
+            yield addr, {d: str(col[addr]) for d, col in cols if addr in col}
 
     def canonical(self, accounts: bool = True) -> dict:
         """`accounts=False` leaves the account table empty, for a stream of
         `account_entries` to fill in."""
         return {
             "accounts": dict(self.account_entries()) if accounts else {},
-            "modules": {name: coins_as_strings(bal) for name, bal in sorted(self.modules.items())},
+            "modules": {name: coins_as_strings(_owned(self.modules, name))
+                        for name in sorted(self.module_names)},
             "supply": self.supply.canonical(),
         }
 
     # -- internals ----------------------------------------------------------
 
-    def _module(self, name: str) -> dict:
-        store = self.modules.get(name)
-        if store is None:
+    def _module(self, name: str) -> None:
+        if name not in self.module_names:
             raise UnknownModule(f"module account {name!r} is not registered")
-        return store
 
     def _save_supply(self, *names: str) -> None:
-        for name in names:
-            self.journal.save(vars(self.supply), name)
+        if self.journal.depth:
+            for name in names:
+                self.journal.save(vars(self.supply), name)
 
     def _take(self, table: dict, owner: str, coins: dict) -> None:
-        """The one debit: take non-empty `coins` from `table[owner]`, or raise untouched."""
-        src = table.get(owner, {})
-        if not coins_ge(src, coins):
-            who = owner if table is self.accounts else f"module {owner}"
-            raise InsufficientFunds(f"{who} cannot cover {coins}")
-        self.journal.save(table, owner)
-        self._debit(src, coins)
+        """The one debit: take non-empty `coins` from `owner` in `table`
+        (`accounts` or `modules`), or raise untouched."""
+        for d, a in coins.items():
+            col = table.get(d)
+            if col is None or col.get(owner, 0) < a:
+                who = owner if table is self.accounts else f"module {owner}"
+                raise InsufficientFunds(f"{who} cannot cover {coins}")
+        saving = self.journal.depth
+        for d, a in coins.items():
+            col = table[d]
+            if saving:
+                self.journal.save(col, owner)
+            rem = col[owner] - a
+            if rem:
+                col[owner] = rem
+            else:
+                del col[owner]
 
     def _give(self, table: dict, owner: str, coins: dict) -> None:
-        """The one credit: add `coins` to `table[owner]`, saving its pre-image first."""
-        self.journal.save(table, owner)
-        store = table.setdefault(owner, {})
+        """The one credit: add `coins` to `owner` in `table`, inside a branch
+        saving each pre-image first."""
+        saving = self.journal.depth
         for d, a in coins.items():
-            store[d] = store.get(d, 0) + a
+            col = table.get(d)
+            if col is None:
+                col = table[d] = {}
+            if saving:
+                self.journal.save(col, owner)
+            col[owner] = col.get(owner, 0) + a
 
     def _move(self, src: dict, owner: str, dst: dict, recipient: str, coins: dict) -> None:
-        """Debit `src[owner]` and credit `dst[recipient]`; empty coins are a no-op."""
+        """Debit `owner` in `src` and credit `recipient` in `dst`; empty coins are a no-op."""
         if coins:
             self._take(src, owner, coins)
             self._give(dst, recipient, coins)
-
-    @staticmethod
-    def _debit(store: dict, coins: dict) -> None:
-        for d, a in coins.items():
-            rem = store[d] - a
-            if rem:
-                store[d] = rem
-            else:
-                del store[d]
 
     @staticmethod
     def _bump(store: dict, denom: str, delta: int) -> None:
@@ -241,3 +266,8 @@ class Bank:
             store[denom] = new
         else:
             store.pop(denom, None)
+
+
+def _owned(table: dict, owner: str) -> dict:
+    """`owner`'s {denom: amount} in a columnar table, genesis zeros kept."""
+    return {d: col[owner] for d, col in table.items() if owner in col}

@@ -70,7 +70,7 @@ from .errors import (
     UnknownValidator,
 )
 from .governance import PASSED, TEXT, VOTING
-from .ledger import FEE_COLLECTOR
+from .ledger import COMMUNITY_POOL, FEE_COLLECTOR
 from .scenario import Scenario
 from .state import ChainState, PendingTx, SniperState, state_hash, verify_invariants
 from .treasury import PolicyConstraints
@@ -462,7 +462,7 @@ class Chain:
         if precommit is None:
             precommit = min(Fraction(1), max(TWO_THIRDS, compatible))
         # genesis may seed a zero entry in the collector
-        fees = {d: a for d, a in state.bank.modules[FEE_COLLECTOR].items() if a}
+        fees = {d: a for d, a in state.bank.module_balances(FEE_COLLECTOR).items() if a}
         if fees and proposer is not None:
             activity = True
             dist_mod.allocate_block_fees(state.bank, state.distribution, state.staking,
@@ -577,8 +577,7 @@ class Chain:
         supply = bank.supply
         row = [supply.totals.get(d, 0) for d in self.denoms]
         row.extend(supply.cumulative_burned.get(d, 0) for d in self.denoms)
-        community = bank.modules["CommunityPool"]
-        row.extend(community.get(d, 0) for d in self.denoms)
+        row.extend(bank.module_balance(COMMUNITY_POOL, d) for d in self.denoms)
         row.append(1 if self.state.halted else 0)
         return tuple(row)
 
@@ -627,7 +626,7 @@ class Chain:
         state = self.state
         height = state.height + 1
         if state.halted or self._pending_upgrades or \
-                any(state.bank.modules[FEE_COLLECTOR].values()):
+                any(state.bank.module_balances(FEE_COLLECTOR).values()):
             return height
         epoch = state.treasury.epoch_length_blocks
         wake = [end, (state.height // epoch + 1) * epoch]

@@ -225,6 +225,6 @@ def test_burn_staging_keeps_the_burn_module_bytes(seed, burn_module, final_hash)
                              12: [("ok", ""), ("ok", ""), ("ok", "")],
                              14: [("rejected", "InsufficientFunds"), ("ok", "")]}
     bank = result.final_state.bank
-    assert bank.modules[BURN_MODULE] == burn_module
+    assert bank.module_balances(BURN_MODULE) == burn_module
     assert bank.supply.cumulative_burned == {"uluna": 4 * 12_000 + 36_000}
     assert result.final_hash == final_hash

@@ -1,12 +1,12 @@
 """Bulk genesis seeding equals one credit per account entry.
 
-`build_state` gathers the genesis accounts into one `{address: {denom:
-amount}}` table and each denom's total, and hands both to
+`build_state` gathers the genesis accounts into one `{denom: {address:
+amount}}` table of columns and each denom's total, and hands both to
 `Bank.genesis_credit_accounts`. Whatever the entries, the bank must end up
 as a loop of `genesis_credit_account` calls leaves it: the same canonical
 form (a zero amount stays as a `{denom: 0}` entry, which the hash sees), the
-same supply ledger and the same order of accounts and of each account's
-denoms.
+same supply ledger and the same order of denom columns and of each column's
+addresses.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -26,7 +26,7 @@ _entries = st.lists(st.builds(
 
 
 def _order(bank: Bank) -> list:
-    return [(address, list(coins.items())) for address, coins in bank.accounts.items()]
+    return [(denom, list(column.items())) for denom, column in bank.accounts.items()]
 
 
 @settings(max_examples=200, deadline=None)

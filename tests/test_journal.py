@@ -74,7 +74,7 @@ def oracle_apply_txs(state, pending, height, version):
 
 def _idle(journal):
     """No branch open and no pre-image held."""
-    return journal._depth == 0 and not journal._undo
+    return journal.depth == 0 and not journal._undo
 
 
 def _coins(amount, denom="uluna"):
@@ -117,7 +117,7 @@ def test_overdrawn_multi_send_output_leaves_the_post_ante_state():
         ("failed", "InsufficientFunds")]
     assert state_hash(state) == expected
     assert state.bank.balance("bob", "uluna") == 45 * M
-    assert "erin" not in state.bank.accounts
+    assert all("erin" not in col for col in state.bank.accounts.values())
     assert _idle(state.journal)
 
 
@@ -182,7 +182,7 @@ def _watch_journal(val2_version, gates, monkeypatch):
     original = ante_mod.run_ante_pipeline
 
     def watched(*args):
-        seen.append((journal._depth, len(journal._undo)))
+        seen.append((journal.depth, len(journal._undo)))
         return original(*args)
 
     monkeypatch.setattr(ante_mod, "run_ante_pipeline", watched)
@@ -369,13 +369,13 @@ def test_ante_raises_only_before_its_first_write(raw, gas_price, in_branch):
         journal.begin()
         assert apply_txs(state, _pending([_tx([_send("bob", "carol", M)], payer="bob")]),
                          HEIGHT, "v21") == [("ok", "")]
-        assert journal._depth == 1 and journal._undo
-    before = (state_hash(state), journal._depth, len(journal._undo))
+        assert journal.depth == 1 and journal._undo
+    before = (state_hash(state), journal.depth, len(journal._undo))
     try:
         ante_mod.run_ante_pipeline(state.bank, state.treasury, state.ante,
                                    read_tx(raw), HEIGHT)
     except SimError:
-        assert (state_hash(state), journal._depth, len(journal._undo)) == before
+        assert (state_hash(state), journal.depth, len(journal._undo)) == before
 
 
 def test_standalone_stores_branch_on_their_own_journal():

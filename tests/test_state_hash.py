@@ -34,21 +34,36 @@ _denoms = st.one_of(st.sampled_from(["uluna", "uusd", "ukrw"]), _text.filter(boo
 _balance = st.dictionaries(_denoms, st.integers(0, 10**30), max_size=3)
 
 
+def _columns(by_owner: dict, empty=()) -> dict:
+    """The bank's {denom: {owner: amount}} layout of {owner: {denom: amount}},
+    plus an empty column for each denom in `empty`."""
+    columns = {d: {} for d in empty}
+    for owner, balance in by_owner.items():
+        for d, a in balance.items():
+            columns.setdefault(d, {})[owner] = a
+    return columns
+
+
 @st.composite
 def _states(draw):
     state = chain_fixture(validators=[("val1", 5_000_000)])
-    # plain accounts around the chunk edges, plus a few awkward ones
+    # plain accounts around the chunk edges, in one column or two, plus a few awkward ones
     count = draw(st.sampled_from([0, 1, CHUNK, CHUNK + 1]) | st.integers(0, 2 * CHUNK + 2))
-    accounts = {f"addr{i:05d}": {"uluna": 7 * i + 1, "uusd": i % 3} for i in range(count)}
+    two = draw(st.booleans())
+    accounts = {f"addr{i:05d}": {"uluna": 7 * i + 1, "uusd": i % 3} if two else {"uluna": i}
+                for i in range(count)}
     for addr in draw(st.lists(_text, max_size=3)):
         accounts[addr] = draw(_balance)
-    # a few empty balances, which the hash skips, and zero entries, which it keeps
+    # a few emptied balances, which the hash skips, and zero entries, which it keeps
     if accounts:
         for addr in draw(st.lists(st.sampled_from(sorted(accounts)), max_size=3)):
             accounts[addr] = draw(st.sampled_from([{}, {"uluna": 0}, {"uusd": 0, "uluna": 3}]))
-    state.bank.accounts = accounts
-    for name in draw(st.lists(st.sampled_from(sorted(state.bank.modules)), max_size=3)):
-        state.bank.modules[name] = draw(_balance)
+    # an empty column is what a credit rolled back in a new denom leaves
+    state.bank.accounts = _columns(accounts, draw(st.lists(_denoms, max_size=2)))
+    modules = {name: state.bank.module_balances(name) for name in state.bank.module_names}
+    for name in draw(st.lists(st.sampled_from(state.bank.module_names), max_size=3)):
+        modules[name] = draw(_balance)
+    state.bank.modules = _columns(modules)
     title = draw(st.sampled_from(["", MARKER, "x" + MARKER + "}}"]) | _text)
     state.governance.proposals[1] = Proposal(proposal_id=1, kind="text", title=title,
                                              changes=[], voting_end_height=9)
