@@ -30,8 +30,8 @@ for first, last, *values in result.rows:
             print("row", (height, *values))
 
 final = result.final_state
-versions = {v.operator_address: v.software_version
-            for v in final.staking.validators.values()}
+versions = {address: v.software_version
+            for address, v in final.staking.validators.items()}
 print("final versions:", versions)
 print("sniper's delegation landed:",
       final.staking.delegations["sniper"]["val1"], "shares on val1")

@@ -23,8 +23,6 @@ from .errors import ParseError
 
 MICRO = 1_000_000
 
-CoinSet = dict
-
 
 @dataclass(frozen=True)
 class Coin:

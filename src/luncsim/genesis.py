@@ -58,7 +58,7 @@ from .distribution import DistributionParams, DistributionState
 from .errors import MalformedProposal, ParseError, UnknownModule
 from .governance import GovernanceState, GovParams
 from .inputs import fraction, integer, load, read
-from .ledger import DEFAULT_MODULE_ACCOUNTS, Bank
+from .ledger import Bank
 from .staking import (
     PROTECT_WINDOW_BLOCKS,
     HeightGates,
@@ -116,7 +116,7 @@ def build_state(cfg: dict) -> ChainState:
     )
     staking_state = StakingState(gates=gates, params=params)
 
-    bank = Bank(DEFAULT_MODULE_ACCOUNTS)
+    bank = Bank()
     columns: dict = {}
     totals: dict = {}
     try:   # one pass, converting inline: `integer` is called only to raise its error

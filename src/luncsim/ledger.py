@@ -6,10 +6,10 @@ accrual). Balances are stored by denom, one column per denom:
 `accounts[denom][address]` and `modules[denom][module]`, like the
 denom-to-address index Cosmos SDK's x/bank keeps beside its balances. A
 stored amount is > 0, or a 0 seeded at genesis. Readers that want one
-owner's coins (`balances`, `module_balances`, `account_entries`,
-`canonical`) regroup the columns by owner when they read them. A column,
-once made, is never removed: the undo journal tags its entries by the
-column's id.
+owner's coins (`module_balances`, `account_entries`, `canonical`) regroup
+the columns by owner when they read them. A column, once made, is never
+removed: an undo entry holds the column it was saved from, and a rollback
+writes the pre-image back into that column.
 
 Every mint and burn is recorded so the supply identity
 
@@ -70,8 +70,7 @@ class SupplyLedger:
 class Bank:
     """Mutable balance store. All operations either complete or raise."""
 
-    def __init__(self, module_names=DEFAULT_MODULE_ACCOUNTS):
-        self.module_names = tuple(module_names)
+    def __init__(self):
         self.accounts: dict = {}   # {denom: {address: amount}}
         self.modules: dict = {}    # {denom: {module: amount}}
         self.supply = SupplyLedger()
@@ -100,12 +99,6 @@ class Bank:
         self._bump(self.supply.genesis_totals, denom, amount)
 
     # -- queries -----------------------------------------------------------
-
-    def balance(self, address: str, denom: str) -> int:
-        return self.accounts.get(denom, {}).get(address, 0)
-
-    def balances(self, address: str) -> dict:
-        return _owned(self.accounts, address)
 
     def module_balance(self, name: str, denom: str) -> int:
         self._module(name)
@@ -143,7 +136,8 @@ class Bank:
         self._module(module)
         if coins:
             self._give(self.modules, module, coins)
-            self._save_supply("totals", "cumulative_minted")
+            self.journal.save(vars(self.supply), "totals")
+            self.journal.save(vars(self.supply), "cumulative_minted")
         for d, a in coins.items():
             self._bump(self.supply.totals, d, a)
             self._bump(self.supply.cumulative_minted, d, a)
@@ -153,7 +147,8 @@ class Bank:
         self._module(module)
         if coins:
             self._take(self.modules, module, coins)
-            self._save_supply("totals", "cumulative_burned")
+            self.journal.save(vars(self.supply), "totals")
+            self.journal.save(vars(self.supply), "cumulative_burned")
         for d, a in coins.items():
             self._bump(self.supply.totals, d, -a)
             self._bump(self.supply.cumulative_burned, d, a)
@@ -207,20 +202,15 @@ class Bank:
         return {
             "accounts": dict(self.account_entries()) if accounts else {},
             "modules": {name: coins_as_strings(_owned(self.modules, name))
-                        for name in sorted(self.module_names)},
+                        for name in sorted(DEFAULT_MODULE_ACCOUNTS)},
             "supply": self.supply.canonical(),
         }
 
     # -- internals ----------------------------------------------------------
 
     def _module(self, name: str) -> None:
-        if name not in self.module_names:
+        if name not in DEFAULT_MODULE_ACCOUNTS:
             raise UnknownModule(f"module account {name!r} is not registered")
-
-    def _save_supply(self, *names: str) -> None:
-        if self.journal.depth:
-            for name in names:
-                self.journal.save(vars(self.supply), name)
 
     def _take(self, table: dict, owner: str, coins: dict) -> None:
         """The one debit: take non-empty `coins` from `owner` in `table`

@@ -121,7 +121,6 @@ class StakingParams:
 
 @dataclass
 class Validator:
-    operator_address: str
     tokens: int
     status: str = ACTIVE
     software_version: str = V21
@@ -299,8 +298,7 @@ def create_validator(
         raise MsgNotSupported(f"create-validator disabled at height {height}")
     if operator in st.validators:
         raise DuplicateValidator(operator)
-    val = Validator(operator_address=operator, tokens=0, status=ACTIVE,
-                    software_version=software_version)
+    val = Validator(tokens=0, status=ACTIVE, software_version=software_version)
     st.journal.save(st.validators, operator)
     st.validators[operator] = val
     return val
@@ -352,7 +350,6 @@ def genesis_bond(bank, st: StakingState, operator: str, tokens: int,
     if operator in st.validators:
         raise DuplicateValidator(operator)
     st.validators[operator] = Validator(
-        operator_address=operator,
         tokens=0,
         status=ACTIVE,
         software_version=software_version,
@@ -387,7 +384,7 @@ def undelegate(
         raise InvalidCoin("cannot unbond zero")
     st.journal.save(st.delegations, delegator)
     st.journal.save(st.validators, validator)
-    st.journal.save_len(st.unbonding)
+    st.journal.save(vars(st), "unbonding")
     remaining = shares - amount.amount
     if remaining:
         per_val[validator] = remaining

@@ -5,7 +5,7 @@ from fractions import Fraction
 from luncsim.ante import AnteConfig
 from luncsim.distribution import DistributionParams, DistributionState
 from luncsim.governance import GovernanceState, GovParams
-from luncsim.ledger import DEFAULT_MODULE_ACCOUNTS, Bank
+from luncsim.ledger import Bank
 from luncsim.scenario import parse_event
 from luncsim.staking import HeightGates, StakingParams, StakingState, genesis_bond
 from luncsim.state import ChainState
@@ -26,10 +26,15 @@ def read_tx(raw: dict):
 
 
 def fresh_bank(accounts=None) -> Bank:
-    bank = Bank(DEFAULT_MODULE_ACCOUNTS)
+    bank = Bank()
     for address, denom, amount in accounts or []:
         bank.genesis_credit_account(address, denom, amount)
     return bank
+
+
+def balance(bank: Bank, address: str, denom: str) -> int:
+    """An account's stored amount of `denom`, 0 when it holds none."""
+    return bank.accounts.get(denom, {}).get(address, 0)
 
 
 def staking_fixture(bank=None, validators=None, gates=FAR_GATES,

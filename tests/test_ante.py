@@ -19,7 +19,7 @@ from luncsim.errors import InsufficientFunds
 from luncsim.ledger import BURN_MODULE, FEE_COLLECTOR
 from luncsim.treasury import TreasuryState
 
-from helpers import fresh_bank
+from helpers import balance, fresh_bank
 
 RATE = Fraction("0.012")
 
@@ -114,7 +114,7 @@ def test_pipeline_deducts_fee_and_burns_tax():
     burned = run_ante_pipeline(bank, ts, cfg, tx, height=50)
     assert burned == {"uluna": 12_000}
     # full declared fee left alice; tax moved on to the burn
-    assert bank.balance("alice", "uluna") == 10**9 - 13_000
+    assert balance(bank, "alice", "uluna") == 10**9 - 13_000
     assert bank.module_balance(FEE_COLLECTOR, "uluna") == 1_000
     assert bank.module_balance(BURN_MODULE, "uluna") == 0
     assert bank.supply.cumulative_burned == {"uluna": 12_000}

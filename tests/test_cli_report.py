@@ -16,6 +16,8 @@ from luncsim.report import build_summary, csv_header, write_reports
 from luncsim.scenario import MAX_EXEC_DEPTH, MAX_PROPOSAL_DEPTH, parse_scenario
 from luncsim.simulator import run_scenario
 
+from helpers import balance
+
 GENESIS = {
     "chain_id": "cli-t",
     "genesis_height": 0,
@@ -244,7 +246,7 @@ def test_malformed_user_tx_fails_as_a_tx(case, tmp_path):
     assert issubclass(getattr(errors, error), errors.SimError)
     # the tx failed after admission, so its fee stays paid
     result = run_scenario(build_state(GENESIS), parse_scenario(scn))
-    assert result.final_state.bank.balance("alice", "uluna") == 50_000 - 100
+    assert balance(result.final_state.bank, "alice", "uluna") == 50_000 - 100
 
 
 def test_float32_cap_past_the_float_range_fails_as_a_tx(tmp_path):
@@ -271,7 +273,7 @@ def test_float32_cap_past_the_float_range_fails_as_a_tx(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["tx_results"] == {"20": [["failed", "PowerCapExceeded"]]}
     result = run_scenario(build_state(genesis), parse_scenario(scn))
-    assert result.final_state.bank.balance("alice", "uluna") == 50_000 - 100
+    assert balance(result.final_state.bank, "alice", "uluna") == 50_000 - 100
 
 
 NON_STRING_ADDRESSES = {

@@ -20,7 +20,7 @@ from luncsim.errors import (
 from luncsim.ledger import BURN_MODULE, FEE_COLLECTOR, TREASURY
 from luncsim.state import verify_invariants
 
-from helpers import chain_fixture, fresh_bank
+from helpers import balance, chain_fixture, fresh_bank
 
 
 def test_coin_rejects_negative_and_blank_denom():
@@ -61,8 +61,8 @@ def test_add_then_sub_round_trips(a, b):
 def test_transfer_moves_funds_and_keeps_supply():
     bank = fresh_bank([("alice", "uluna", 1_000)])
     bank.transfer("alice", "bob", {"uluna": 400})
-    assert bank.balance("alice", "uluna") == 600
-    assert bank.balance("bob", "uluna") == 400
+    assert balance(bank, "alice", "uluna") == 600
+    assert balance(bank, "bob", "uluna") == 400
     assert bank.total_supply("uluna") == 1_000
     bank.verify_supply_identity()
 
@@ -71,8 +71,8 @@ def test_transfer_insufficient_leaves_balances_alone():
     bank = fresh_bank([("alice", "uluna", 100)])
     with pytest.raises(InsufficientFunds):
         bank.transfer("alice", "bob", {"uluna": 200})
-    assert bank.balance("alice", "uluna") == 100
-    assert bank.balance("bob", "uluna") == 0
+    assert balance(bank, "alice", "uluna") == 100
+    assert balance(bank, "bob", "uluna") == 0
 
 
 def test_module_routing_and_unknown_module():
@@ -131,8 +131,8 @@ def test_deepcopy_is_independent():
     bank = fresh_bank([("alice", "uluna", 10)])
     twin = copy.deepcopy(bank)
     twin.transfer("alice", "bob", {"uluna": 10})
-    assert bank.balance("alice", "uluna") == 10
-    assert twin.balance("alice", "uluna") == 0
+    assert balance(bank, "alice", "uluna") == 10
+    assert balance(twin, "alice", "uluna") == 0
     assert bank.canonical() != twin.canonical()
 
 

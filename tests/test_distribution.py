@@ -13,7 +13,7 @@ from luncsim.distribution import (
 from luncsim.errors import UnknownProposer
 from luncsim.ledger import COMMUNITY_POOL, DISTRIBUTION, FEE_COLLECTOR, TREASURY
 
-from helpers import fresh_bank, staking_fixture
+from helpers import balance, fresh_bank, staking_fixture
 
 POST_PROPOSAL = DistributionParams(community_tax=Fraction("0.5"),
                                    base_proposer_reward=Fraction("0.03"),
@@ -102,7 +102,7 @@ def test_community_pool_spend_and_burn():
     _collect(bank, {"uluna": 10_000})
     allocate_block_fees(bank, ds, st, {"uluna": 10_000}, "val1", Fraction(1))
     community_pool_spend(bank, "relief-fund", {"uluna": 2_000})
-    assert bank.balance("relief-fund", "uluna") == 2_000
+    assert balance(bank, "relief-fund", "uluna") == 2_000
     before = bank.total_supply("uluna")
     community_pool_spend(bank, "burn", {"uluna": 1_000})
     assert bank.total_supply("uluna") == before - 1_000

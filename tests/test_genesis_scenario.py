@@ -9,6 +9,8 @@ from luncsim.inputs import fraction
 from luncsim.scenario import load_scenario_file, parse_scenario
 from luncsim.staking import mainnet_gates
 
+from helpers import balance
+
 MINIMAL = {
     "chain_id": "parse-t",
     "genesis_height": 0,
@@ -25,11 +27,11 @@ MINIMAL = {
 def test_minimal_genesis_builds():
     state = build_state(MINIMAL)
     assert state.chain_id == "parse-t"
-    assert state.bank.balance("alice", "uluna") == 1_000
+    assert balance(state.bank, "alice", "uluna") == 1_000
     assert state.staking.validators["val1"].tokens == 5_000_000
     assert state.staking.validators["val1"].software_version == "v21"
     # operator stake is bonded, not liquid
-    assert state.bank.balance("val1", "uluna") == 0
+    assert balance(state.bank, "val1", "uluna") == 0
     state.bank.verify_supply_identity()
 
 

@@ -12,7 +12,7 @@ addresses.
 from hypothesis import given, settings, strategies as st
 
 from luncsim.genesis import build_state
-from luncsim.ledger import DEFAULT_MODULE_ACCOUNTS, Bank
+from luncsim.ledger import Bank
 
 _amounts = st.sampled_from([0, 0, 1, 7]) | st.integers(0, 10**24)
 _entries = st.lists(st.builds(
@@ -33,7 +33,7 @@ def _order(bank: Bank) -> list:
 @given(entries=_entries)
 def test_bulk_seeding_equals_per_entry_credits(entries):
     seeded = build_state({"accounts": entries}).bank
-    looped = Bank(DEFAULT_MODULE_ACCOUNTS)
+    looped = Bank()
     for entry in entries:
         looped.genesis_credit_account(entry["address"], entry["denom"], int(entry["amount"]))
     assert seeded.canonical() == looped.canonical()

@@ -17,11 +17,12 @@ from luncsim import staking as staking_mod
 from luncsim.coins import Coin
 from luncsim.errors import SimError
 from luncsim.genesis import build_state
+from luncsim.journal import Journal
 from luncsim.scenario import parse_scenario
 from luncsim.simulator import Chain, apply_txs, execute_msg
 from luncsim.state import PendingTx, state_hash, verify_invariants
 
-from helpers import chain_fixture, fresh_bank, read_tx, staking_fixture
+from helpers import balance, chain_fixture, fresh_bank, read_tx, staking_fixture
 
 M = 1_000_000
 HEIGHT = 100
@@ -116,7 +117,7 @@ def test_overdrawn_multi_send_output_leaves_the_post_ante_state():
     assert apply_txs(state, _pending([raw]), HEIGHT, "v21") == [
         ("failed", "InsufficientFunds")]
     assert state_hash(state) == expected
-    assert state.bank.balance("bob", "uluna") == 45 * M
+    assert balance(state.bank, "bob", "uluna") == 45 * M
     assert all("erin" not in col for col in state.bank.accounts.values())
     assert _idle(state.journal)
 
@@ -385,22 +386,101 @@ def test_standalone_stores_branch_on_their_own_journal():
     # outside a branch a store writes straight through and records nothing
     staking_mod.delegate(bank, st_state, "alice", "val1", Coin("uluna", 2 * M), HEIGHT)
     assert _idle(bank.journal) and _idle(st_state.journal)
-    balances, tokens = bank.balances("alice"), st_state.validators["val1"].tokens
+    accounts, tokens = copy.deepcopy(bank.accounts), st_state.validators["val1"].tokens
     delegations = copy.deepcopy(st_state.delegations)
 
     bank_mark, staking_mark = bank.journal.begin(), st_state.journal.begin()
     staking_mod.delegate(bank, st_state, "alice", "val1", Coin("uluna", 3 * M), HEIGHT)
     staking_mod.undelegate(bank, st_state, "val1", "val1", Coin("uluna", M), HEIGHT)
     bank.transfer("alice", "bob", {"uluna": M})
-    assert bank.balances("alice") != balances
+    assert bank.accounts != accounts
     assert st_state.validators["val1"].tokens != tokens
     bank.journal.rollback(bank_mark)
     bank.journal.commit()
     st_state.journal.rollback(staking_mark)
     st_state.journal.commit()
 
-    assert bank.balances("alice") == balances and bank.balances("bob") == {}
+    assert bank.accounts == accounts
     assert st_state.validators["val1"].tokens == tokens
     assert st_state.delegations == delegations and st_state.unbonding == []
     assert _idle(bank.journal) and _idle(st_state.journal)
     bank.verify_supply_identity()
+
+
+# -- property: a bare Journal against a deep-copy oracle ----------------------
+# A writer saves before each write, so one key is saved as often as it is
+# written in a branch; rollback must still restore the oldest pre-image.
+
+class _Store:
+    """An object whose `vars()` is a table holding a list and an int."""
+
+    def __init__(self):
+        self.items = []
+        self.count = 0
+
+
+def _write(journal, entries, store, op):
+    """Apply one write, saving first when a journal is given (the oracle has none)."""
+    kind, key, value = op
+    table, name = (vars(store), kind) if kind in ("items", "count") else (entries, key)
+    if journal is not None:
+        journal.save(table, name)
+    if kind == "set":
+        entries[key] = value
+    elif kind == "nested":              # an in-place write into a saved dict
+        entries.setdefault(key, {})[value % 3] = value
+    elif kind == "delete":
+        entries.pop(key, None)
+    elif kind == "items":               # append, or drop the head as maturities do
+        if value:
+            store.items.append(value)
+        elif store.items:
+            store.items.pop(0)
+    else:
+        store.count = value
+
+
+_journal_op = st.one_of(
+    st.just(("begin",)),
+    st.tuples(st.just("close"), st.booleans()),   # True commits, False discards
+    st.tuples(st.sampled_from(["set", "delete", "items", "count"]),
+              st.sampled_from(["a", "b"]), st.integers(0, 3)),
+    st.tuples(st.just("nested"), st.sampled_from(["x", "y"]), st.integers(0, 5)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=st.lists(_journal_op, max_size=40), tail=st.lists(st.booleans(), min_size=1))
+def test_bare_journal_matches_the_deepcopy_oracle(ops, tail):
+    journal, entries, store = Journal(), {"a": 1, "x": {0: 9}}, _Store()
+    want = copy.deepcopy((entries, store))
+    marks, snapshots = [], []
+
+    def close(keep):
+        nonlocal want
+        if not keep:
+            journal.rollback(marks[-1])
+        journal.commit()
+        marks.pop()
+        snapshot = snapshots.pop()
+        if not keep:
+            want = snapshot
+        assert (entries, vars(store)) == (want[0], vars(want[1]))
+        assert journal.depth == len(marks)
+        if not journal.depth:
+            assert not journal._undo
+
+    for op in ops:
+        if op[0] == "begin":
+            marks.append(journal.begin())
+            snapshots.append(copy.deepcopy(want))
+        elif op[0] == "close":
+            if marks:
+                close(op[1])
+        else:
+            _write(journal, entries, store, op)
+            _write(None, *want, op)
+    for i in range(len(marks)):
+        close(tail[i % len(tail)])
+    assert (entries, vars(store)) == (want[0], vars(want[1]))
+    assert _idle(journal)

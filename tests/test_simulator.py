@@ -9,6 +9,8 @@ from luncsim.scenario import parse_scenario
 from luncsim.simulator import Chain, run_scenario
 from luncsim.state import state_hash
 
+from helpers import balance
+
 M = 1_000_000
 
 FAR_GATES = {
@@ -70,7 +72,7 @@ def test_submit_tx_applies_at_its_height():
     s = {"name": "t", "end_height": 6, "events": [_send_tx(5)]}
     res = _run(g, s)
     assert res.tx_log == {5: [("ok", "")]}
-    assert res.final_state.bank.balance("bob", "uluna") == 1_000
+    assert balance(res.final_state.bank, "bob", "uluna") == 1_000
 
 
 def test_identical_runs_hash_identically():
@@ -229,8 +231,8 @@ def test_failed_msg_keeps_fees_and_reverts_effects():
     assert res.tx_log[5] == [("failed", "InsufficientFunds")]
     st = res.final_state
     # the first send was rolled back with the tx, but the fee stayed paid
-    assert st.bank.balance("bob", "uluna") == 0
-    assert st.bank.balance("alice", "uluna") == 50_000 - 1_000
+    assert balance(st.bank, "bob", "uluna") == 0
+    assert balance(st.bank, "alice", "uluna") == 50_000 - 1_000
 
 
 def test_rejected_tx_leaves_no_trace():
@@ -245,7 +247,7 @@ def test_rejected_tx_leaves_no_trace():
     }}
     res = _run(g, {"name": "t", "end_height": 6, "events": [tx]})
     assert res.tx_log[5] == [("rejected", "InsufficientFunds")]
-    assert res.final_state.bank.balance("alice", "uluna") == 500
+    assert balance(res.final_state.bank, "alice", "uluna") == 500
 
 
 def test_sniper_fires_at_target_plus_delay():
@@ -283,7 +285,7 @@ def test_rollback_restores_snapshot_and_clears_mempool():
     ]}
     res = _run(g, s)
     st = res.final_state
-    assert st.bank.balance("bob", "uluna") == 0      # the send was undone
+    assert balance(st.bank, "bob", "uluna") == 0      # the send was undone
     assert st.height == 40
     assert st.mempool == []
     # the fork replays 11..40 with nothing in it, landing on the clean chain
@@ -312,7 +314,7 @@ def test_events_after_a_rollback_run_on_the_new_fork():
     res = _run(g, s)
     # the send was declared after the rollback, so the fork runs it at 20
     assert res.tx_log == {20: [("ok", "")]}
-    assert res.final_state.bank.balance("bob", "uluna") == 1_000
+    assert balance(res.final_state.bank, "bob", "uluna") == 1_000
     assert res.final_state.height == 25
 
 

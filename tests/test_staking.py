@@ -36,7 +36,7 @@ from luncsim.staking import (
 )
 from luncsim.ledger import BONDED_POOL, NOT_BONDED_POOL
 
-from helpers import fresh_bank, staking_fixture
+from helpers import balance, fresh_bank, staking_fixture
 
 GATES = mainnet_gates()
 
@@ -157,7 +157,7 @@ def test_float32_cap_refuses_a_power_past_the_float_range():
                                validators=[("val1", 2**1100), ("val2", 2**1100)])
     with pytest.raises(PowerCapExceeded):
         delegate(bank, st_state, "dora", "val1", Coin("uluna", 10**6), 50)
-    assert bank.balance("dora", "uluna") == 10**12
+    assert balance(bank, "dora", "uluna") == 10**12
     assert st_state.validators["val1"].tokens == 2**1100
 
 
@@ -199,7 +199,7 @@ def test_delegate_moves_tokens_to_bonded_pool():
     assert st_state.validators["val1"].tokens == 13_000_000
     assert st_state.delegations["dora"]["val1"] == 3_000_000
     assert bank.module_balance(BONDED_POOL, "uluna") == 13_000_000
-    assert bank.balance("dora", "uluna") == 2_000_000
+    assert balance(bank, "dora", "uluna") == 2_000_000
     assert consensus_powers(st_state) == {"val1": 13}
     assert bonded_stake_of(st_state, "dora") == 3_000_000
     assert total_bonded(st_state) == 13_000_000
@@ -256,7 +256,7 @@ def test_undelegate_schedules_and_matures():
     assert mature_unbondings(bank, st_state, entry.completion_height - 1) == []
     done = mature_unbondings(bank, st_state, entry.completion_height)
     assert len(done) == 1
-    assert bank.balance("dora", "uluna") == 2_000_000 + 1_000_000
+    assert balance(bank, "dora", "uluna") == 2_000_000 + 1_000_000
     assert bank.module_balance(NOT_BONDED_POOL, "uluna") == 0
 
 

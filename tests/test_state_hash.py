@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from luncsim import state as state_mod
 from luncsim.governance import Proposal
+from luncsim.ledger import DEFAULT_MODULE_ACCOUNTS
 from luncsim.state import state_hash
 
 from helpers import chain_fixture
@@ -60,8 +61,8 @@ def _states(draw):
             accounts[addr] = draw(st.sampled_from([{}, {"uluna": 0}, {"uusd": 0, "uluna": 3}]))
     # an empty column is what a credit rolled back in a new denom leaves
     state.bank.accounts = _columns(accounts, draw(st.lists(_denoms, max_size=2)))
-    modules = {name: state.bank.module_balances(name) for name in state.bank.module_names}
-    for name in draw(st.lists(st.sampled_from(state.bank.module_names), max_size=3)):
+    modules = {name: state.bank.module_balances(name) for name in DEFAULT_MODULE_ACCOUNTS}
+    for name in draw(st.lists(st.sampled_from(DEFAULT_MODULE_ACCOUNTS), max_size=3)):
         modules[name] = draw(_balance)
     state.bank.modules = _columns(modules)
     title = draw(st.sampled_from(["", MARKER, "x" + MARKER + "}}"]) | _text)
