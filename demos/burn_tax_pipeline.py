@@ -9,19 +9,17 @@ supply figures.
 
 from fractions import Fraction
 
-from luncsim import MICRO, estimate_fee, simple_tax_params
+from luncsim import MICRO, estimate_fee
 from luncsim.ante import Msg, MsgKind, Tx, run_ante_pipeline
 from luncsim.genesis import build_state
 
 # off-chain quote, the way a wallet would show it
-params = simple_tax_params(Fraction("0.012"))
-quote = estimate_fee(1_000_000, "uluna", 250, params)
+quote = estimate_fee(1_000_000, "uluna", 250, Fraction("0.012"))
 print("quoted tax:      ", quote.tax)
 print("quoted total fee:", quote.total_fee)
 
 # the same rate capped at 50 uluna: large transfers stop scaling
-capped = simple_tax_params(Fraction("0.012"), cap=50 * MICRO)
-big = estimate_fee(100_000 * MICRO, "uluna", 0, capped)
+big = estimate_fee(100_000 * MICRO, "uluna", 0, Fraction("0.012"), cap=50 * MICRO)
 print("capped tax on 100k lunc:", big.tax, "(would be",
       int(Fraction("0.012") * 100_000 * MICRO), "uncapped)")
 

@@ -19,7 +19,7 @@ from .errors import (
     PowerCapExceeded,
     SimError,
 )
-from .fees import FeeEstimate, estimate_fee, simple_tax_params
+from .fees import FeeEstimate, estimate_fee
 from .genesis import build_state, load_genesis_file
 from .ledger import Bank
 from .scenario import Scenario, load_scenario_file, parse_scenario
@@ -74,7 +74,6 @@ __all__ = [
     "mainnet_gates",
     "parse_scenario",
     "run_scenario",
-    "simple_tax_params",
     "state_hash",
     "verify_invariants",
 ]

@@ -11,10 +11,13 @@ Tax owed per eligible message is, per denomination,
 
     min(floor(taxRate * amount), taxCap[denom])
 
-with exempt denominations paying zero. Eligible kinds: send, multi-send
-(per output), swap-send (the offered coins), instantiate-contract and
-execute-contract (attached funds), and exec (recursing into wrapped
-messages). Staking and governance messages owe nothing.
+read straight from the treasury store: `tax_rate`, and the `tax_caps` entry
+for the denom or else `default_tax_cap`. The genesis-owned `AnteConfig`
+names the exempt denominations, which pay zero. The fee estimator calls the
+same `compute_tax`. Eligible kinds: send, multi-send (per output), swap-send
+(the offered coins), instantiate-contract and execute-contract (attached
+funds), and exec (recursing into wrapped messages). Staking and governance
+messages owe nothing.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coins import Coin, coins_add, coins_ge
+from .coins import Coin, coins_add, coins_ge, floor_mul
 from .errors import InsufficientFunds
 from .ledger import BURN_MODULE, FEE_COLLECTOR
 from . import treasury as treasury_mod
@@ -41,15 +44,6 @@ class MsgKind(enum.Enum):
     CREATE_VALIDATOR = "create-validator"
     VOTE = "vote"
     SUBMIT_PROPOSAL = "submit-proposal"
-
-
-TAXABLE_KINDS = {
-    MsgKind.SEND,
-    MsgKind.MULTI_SEND,
-    MsgKind.SWAP_SEND,
-    MsgKind.INSTANTIATE_CONTRACT,
-    MsgKind.EXECUTE_CONTRACT,
-}
 
 
 @dataclass
@@ -99,17 +93,6 @@ class Tx:
 
 
 @dataclass
-class TaxComputationParams:
-    tax_rate: Fraction
-    tax_caps: dict = field(default_factory=dict)
-    default_tax_cap: int = treasury_mod.DEFAULT_TAX_CAP
-    exempt_denoms: frozenset = frozenset({"stake"})
-
-    def cap_for(self, denom: str) -> int:
-        return self.tax_caps.get(denom, self.default_tax_cap)
-
-
-@dataclass
 class AnteConfig:
     """Genesis-owned admission settings."""
 
@@ -127,27 +110,15 @@ class AnteConfig:
         }
 
 
-def tax_params(ts: treasury_mod.TreasuryState, cfg: AnteConfig) -> TaxComputationParams:
-    """The treasury's current tax settings; the params share, and never write,
-    its `tax_caps`."""
-    return TaxComputationParams(
-        tax_rate=ts.tax_rate,
-        tax_caps=ts.tax_caps,
-        default_tax_cap=ts.default_tax_cap,
-        exempt_denoms=cfg.exempt_denoms,
-    )
-
-
-def compute_tax(principal: dict, params: TaxComputationParams) -> dict:
-    """Tax owed on one transfer principal, floored and capped per denom."""
-    rate = params.tax_rate
+def compute_tax(principal: dict, ts: treasury_mod.TreasuryState, exempt: frozenset) -> dict:
+    """Tax owed on one transfer principal at the treasury's rate, floored and
+    capped per denom; `exempt` denoms owe nothing."""
     out = {}
     for denom in sorted(principal):
-        if denom in params.exempt_denoms:
+        if denom in exempt:
             continue
-        amount = principal[denom]
-        owed = (rate.numerator * amount) // rate.denominator
-        owed = min(owed, params.cap_for(denom))
+        owed = min(floor_mul(ts.tax_rate, principal[denom]),
+                   ts.tax_caps.get(denom, ts.default_tax_cap))
         if owed:
             out[denom] = owed
     return out
@@ -157,7 +128,7 @@ def taxable_principals(msg: Msg) -> list:
     """The transfer principals a message owes tax on, one coin set each.
 
     Multi-send is taxed per output, not on the summed total, which matters
-    because the flooring happens per principal.
+    because the flooring happens per principal. Untaxed kinds have none.
     """
     if msg.kind == MsgKind.SEND:
         return [msg.payload["coins"]]
@@ -171,15 +142,16 @@ def taxable_principals(msg: Msg) -> list:
     return []
 
 
-def filter_msgs_and_compute_tax(msgs: list, params: TaxComputationParams) -> dict:
+def filter_msgs_and_compute_tax(msgs: list, ts: treasury_mod.TreasuryState,
+                                exempt: frozenset) -> dict:
     """Sum the tax owed across messages, recursing through exec wrappers."""
     total: dict = {}
     for msg in msgs:
         if msg.kind == MsgKind.EXEC:
-            total = coins_add(total, filter_msgs_and_compute_tax(msg.payload["msgs"], params))
-        elif msg.kind in TAXABLE_KINDS:
+            total = coins_add(total, filter_msgs_and_compute_tax(msg.payload["msgs"], ts, exempt))
+        else:
             for principal in taxable_principals(msg):
-                total = coins_add(total, compute_tax(principal, params))
+                total = coins_add(total, compute_tax(principal, ts, exempt))
     return total
 
 
@@ -202,7 +174,7 @@ def run_ante_pipeline(bank, ts: treasury_mod.TreasuryState, cfg: AnteConfig,
     burned as tax (empty when inert).
     """
     tax_active = height >= cfg.tax_power_upgrade_height
-    tax = filter_msgs_and_compute_tax(tx.msgs, tax_params(ts, cfg)) if tax_active else {}
+    tax = filter_msgs_and_compute_tax(tx.msgs, ts, cfg.exempt_denoms) if tax_active else {}
     required = coins_add(required_gas_fee(cfg, tx.gas_limit), tax)
     if not coins_ge(tx.declared_fee, required):
         raise InsufficientFunds(

@@ -14,12 +14,13 @@ import os
 import sys
 
 from .errors import ChainHalted, InvariantViolation, ParseError, SimError
-from .fees import estimate_fee, simple_tax_params
+from .fees import estimate_fee
 from .genesis import build_state, load_genesis_file
-from .inputs import fraction
+from .inputs import fraction, integer
 from .report import write_reports
 from .scenario import load_scenario_file, parse_scenario
 from .simulator import run_scenario
+from .treasury import DEFAULT_TAX_CAP
 from . import scenarios
 
 log = logging.getLogger("luncsim")
@@ -58,14 +59,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_fee = sub.add_parser("estimate-fee",
                            help="quote the burn tax for a transfer amount")
-    p_fee.add_argument("--amount", required=True, type=int,
+    p_fee.add_argument("--amount", required=True,
                        help="principal in micro units")
     p_fee.add_argument("--denom", default="uluna")
-    p_fee.add_argument("--gas", type=int, default=0,
+    p_fee.add_argument("--gas", default=0,
                        help="flat gas fee in micro units")
     p_fee.add_argument("--rate", default="0.012",
                        help="tax rate as a decimal or p/q fraction")
-    p_fee.add_argument("--cap", type=int, default=None,
+    p_fee.add_argument("--cap", default=DEFAULT_TAX_CAP,
                        help="per-denom tax ceiling in micro units")
     return parser
 
@@ -119,8 +120,10 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_estimate_fee(args) -> int:
-    params = simple_tax_params(fraction(args.rate, "--rate", 0, 1), cap=args.cap)
-    quote = estimate_fee(args.amount, args.denom, args.gas, params)
+    quote = estimate_fee(integer(args.amount, "--amount", low=0), args.denom,
+                         integer(args.gas, "--gas", low=0),
+                         fraction(args.rate, "--rate", 0, 1),
+                         integer(args.cap, "--cap", low=0))
     json.dump(quote.as_dict(), sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0

@@ -63,6 +63,12 @@ def coins_ge(a: dict, b: dict) -> bool:
     return True
 
 
+def floor_mul(frac, amount: int) -> int:
+    """floor(frac * amount) for a `Fraction` frac, the one rounding rule for
+    every share the engine takes of an amount (tax, fee split, burn cut)."""
+    return (frac.numerator * amount) // frac.denominator
+
+
 def coins_from_config(entries) -> dict:
     """Parse ``[{"denom": ..., "amount": ...}, ...]`` (amounts int or str) into a
     coin set that `Tx` and the engine trust: a negative entry is refused, even

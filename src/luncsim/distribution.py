@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coins import coins_add, coins_as_strings
+from .coins import coins_add, coins_as_strings, floor_mul
 from .errors import UnknownProposer
 from .ledger import COMMUNITY_POOL, DISTRIBUTION, FEE_COLLECTOR, TREASURY
 from .staking import ACTIVE, consensus_powers
@@ -61,10 +61,6 @@ class DistributionState:
         }
 
 
-def _floor_mul(frac: Fraction, amount: int) -> int:
-    return (frac.numerator * amount) // frac.denominator
-
-
 def _accrue(ds: DistributionState, validator: str, coins: dict) -> None:
     if coins:
         ds.validator_accrued[validator] = coins_add(
@@ -89,8 +85,8 @@ def _split(bank, ds: DistributionState, staking_state, source: str, coins: dict,
     validator_cuts: dict = {}
     moved_to_dist: dict = {}
     for denom, amount in sorted(coins.items()):
-        to_proposer = _floor_mul(proposer_frac, amount)
-        to_community = _floor_mul(p.community_tax, amount)
+        to_proposer = floor_mul(proposer_frac, amount)
+        to_community = floor_mul(p.community_tax, amount)
         rest = amount - to_proposer - to_community
         assigned = 0
         if total_power > 0:

@@ -5,8 +5,10 @@ The full fee a wallet must declare for a transfer is
     newFee = min(floor(taxRate * amount), taxCap) + gasFee
 
 and the amount a contract actually receives after the chain skims the tax is
-``after_tax = amount - tax``. The estimate covers native denominations only;
-token (contract) assets never pay transfer tax and asking is an error.
+``after_tax = amount - tax``. The tax is admission's own `ante.compute_tax`
+on a treasury holding only the quoted rate and cap, with no exempt denoms.
+Only `NATIVE_DENOMS` are quoted; token (contract) assets never pay transfer
+tax and asking is an error.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ante import TaxComputationParams, compute_tax
+from .ante import compute_tax
 from .errors import NonNativeAsset
+from .treasury import DEFAULT_TAX_CAP, TreasuryState
 
-DEFAULT_NATIVE_DENOMS = frozenset({"uluna", "uusd", "usdr"})
+NATIVE_DENOMS = frozenset({"uluna", "uusd", "usdr"})
 
 
 @dataclass
@@ -46,22 +49,14 @@ class FeeEstimate:
         }
 
 
-def estimate_fee(amount: int, denom: str, gas_fee: int,
-                 params: TaxComputationParams,
-                 native_denoms: frozenset = DEFAULT_NATIVE_DENOMS) -> FeeEstimate:
-    """Declared fee needed for a send of `amount` plus a fixed gas fee."""
-    if amount < 0 or gas_fee < 0:
-        raise ValueError("amount and gas fee must be non-negative")
-    if denom not in native_denoms:
+def estimate_fee(amount: int, denom: str, gas_fee: int, rate: Fraction,
+                 cap: int = DEFAULT_TAX_CAP) -> FeeEstimate:
+    """Declared fee needed for a send of `amount` plus a fixed gas fee, taxed
+    at `rate` up to `cap` (by default effectively unbounded)."""
+    if amount < 0 or gas_fee < 0 or cap < 0:
+        raise ValueError("amount, gas fee and cap must be non-negative")
+    if denom not in NATIVE_DENOMS:
         raise NonNativeAsset(f"cannot compute transfer tax for token asset {denom!r}")
-    tax = compute_tax({denom: amount}, params).get(denom, 0)
+    ts = TreasuryState(tax_rate=rate, default_tax_cap=cap)
+    tax = compute_tax({denom: amount}, ts, frozenset()).get(denom, 0)
     return FeeEstimate(amount=amount, denom=denom, tax=tax, gas_fee=gas_fee)
-
-
-def simple_tax_params(rate, cap: int | None = None,
-                      exempt_denoms: frozenset = frozenset({"stake"})) -> TaxComputationParams:
-    """One-rate params for estimation; cap None means effectively unbounded."""
-    kwargs = {"tax_rate": Fraction(str(rate)), "exempt_denoms": exempt_denoms}
-    if cap is not None:
-        kwargs["default_tax_cap"] = cap
-    return TaxComputationParams(**kwargs)

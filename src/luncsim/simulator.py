@@ -141,7 +141,7 @@ def execute_msg(state: ChainState, msg: Msg, height: int, version: str) -> None:
         staking_mod.undelegate(bank, state.staking, p["delegator"], p["validator"],
                                p["amount"], height)
     elif msg.kind == MsgKind.CREATE_VALIDATOR:
-        staking_mod.create_validator(bank, state.staking, p["operator"], height,
+        staking_mod.create_validator(state.staking, p["operator"], height,
                                      software_version=p.get("version", staking_mod.V21),
                                      acting_version=version)
     elif msg.kind == MsgKind.VOTE:
@@ -693,17 +693,14 @@ class Chain:
             if self.scenario.strict_halt:
                 terminal = True
                 break
-            recovered = False
             while self._apply_one_recovery_upgrade():
                 self.state.halted = False
                 outcome = self._produce_block(height)
                 if outcome == _ROLLED_BACK or outcome.status == COMMITTED:
-                    recovered = True
                     if outcome != _ROLLED_BACK:
                         blocks += 1
                     break
-            if not recovered:
-                self.state.halted = True
+            else:   # no upgrade left to apply: the chain stays halted
                 terminal = True
                 break
         verify_invariants(self.state)

@@ -282,7 +282,6 @@ def version_rules(gates: HeightGates, height: int, version: str) -> VersionRules
 
 
 def create_validator(
-    bank,
     st: StakingState,
     operator: str,
     height: int,

@@ -27,7 +27,7 @@ from .errors import InvariantViolation
 from .governance import GovernanceState
 from .journal import Journal
 from .ledger import BONDED_POOL, NOT_BONDED_POOL, Bank
-from .staking import StakingState
+from .staking import StakingState, total_bonded
 from .treasury import TreasuryState
 
 
@@ -192,7 +192,7 @@ def verify_invariants(state: ChainState) -> None:
             )
 
     bond_denom = state.staking.params.bond_denom
-    bonded = sum(v.tokens for v in state.staking.validators.values())
+    bonded = total_bonded(state.staking)
     pool = state.bank.module_balance(BONDED_POOL, bond_denom)
     if bonded != pool:
         raise InvariantViolation(

@@ -18,7 +18,7 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coins import Coin, coins_as_strings
+from .coins import Coin, coins_as_strings, floor_mul
 from .errors import MalformedProposal, ParseError
 from .inputs import coin, fraction, read
 from .journal import Journal
@@ -152,9 +152,8 @@ def epoch_transition(bank, ts: TreasuryState, dist_state, staking_state,
     distributed = {}
     if minted:
         bank.mint(TREASURY, minted)
-        w = ts.reward_weight
         for d, a in minted.items():
-            cut = (w.numerator * a) // w.denominator
+            cut = floor_mul(ts.reward_weight, a)
             if cut:
                 burned[d] = cut
             if a - cut:

@@ -35,14 +35,12 @@ from luncsim.ante import (
     AnteConfig,
     Msg,
     MsgKind,
-    TaxComputationParams,
     Tx,
     compute_tax,
     filter_msgs_and_compute_tax,
     run_ante_pipeline,
 )
 from luncsim.distribution import DistributionParams, DistributionState, allocate_block_fees
-from luncsim.fees import simple_tax_params
 from luncsim.simulator import Chain
 from luncsim.staking import (
     V20,
@@ -168,19 +166,20 @@ def test_gate_sweep_end_to_end_edges():
                              gates=mainnet_gates())
         if blocked:
             try:
-                create_validator(bank, st, "newval", h)
+                create_validator(st, "newval", h)
                 raise AssertionError(f"create-validator passed at {h}")
             except MsgNotSupported:
                 pass
         else:
-            create_validator(bank, st, "newval", h)
+            create_validator(st, "newval", h)
             assert "newval" in st.validators
 
 
 # -- criterion 3: burn-tax suite ----------------------------------------------
 
-TAX_ON = TaxComputationParams(tax_rate=Fraction(12, 1000), default_tax_cap=10**15)
-TAX_OFF = TaxComputationParams(tax_rate=Fraction(0), default_tax_cap=10**15)
+TAX_ON = TreasuryState(tax_rate=Fraction(12, 1000), default_tax_cap=10**15)
+TAX_OFF = TreasuryState(tax_rate=Fraction(0), default_tax_cap=10**15)
+EXEMPT = AnteConfig().exempt_denoms
 
 
 def _send_msg(amount):
@@ -189,12 +188,12 @@ def _send_msg(amount):
 
 
 def test_send_with_tax():
-    assert filter_msgs_and_compute_tax([_send_msg(1_000_000)], TAX_ON) == \
+    assert filter_msgs_and_compute_tax([_send_msg(1_000_000)], TAX_ON, EXEMPT) == \
         {"uluna": 12_000}
 
 
 def test_send_without_tax():
-    assert filter_msgs_and_compute_tax([_send_msg(1_000_000)], TAX_OFF) == {}
+    assert filter_msgs_and_compute_tax([_send_msg(1_000_000)], TAX_OFF, EXEMPT) == {}
 
 
 def test_multi_send_with_tax():
@@ -204,7 +203,7 @@ def test_multi_send_with_tax():
         {"recipient": "d", "coins": {"uluna": 83}},    # floors to zero alone
     ]})
     # taxed per output: 1200 + 2400 + 0, not floor(0.012 * 300083)
-    assert filter_msgs_and_compute_tax([msg], TAX_ON) == {"uluna": 3_600}
+    assert filter_msgs_and_compute_tax([msg], TAX_ON, EXEMPT) == {"uluna": 3_600}
 
 
 def test_multi_send_without_tax():
@@ -212,7 +211,7 @@ def test_multi_send_without_tax():
         {"recipient": "b", "coins": {"uluna": 100_000}},
         {"recipient": "c", "coins": {"uluna": 200_000}},
     ]})
-    assert filter_msgs_and_compute_tax([msg], TAX_OFF) == {}
+    assert filter_msgs_and_compute_tax([msg], TAX_OFF, EXEMPT) == {}
 
 
 def test_swap_send_with_tax():
@@ -220,7 +219,7 @@ def test_swap_send_with_tax():
     msg = Msg(MsgKind.SWAP_SEND, {"sender": "a", "recipient": "b",
                                   "offer": Coin("uluna", 500_000),
                                   "ask_denom": "usdr"})
-    assert filter_msgs_and_compute_tax([msg], TAX_ON) == {"uluna": 6_000}
+    assert filter_msgs_and_compute_tax([msg], TAX_ON, EXEMPT) == {"uluna": 6_000}
 
 
 def test_swap_send_without_tax():
@@ -228,48 +227,48 @@ def test_swap_send_without_tax():
     msg = Msg(MsgKind.SWAP_SEND, {"sender": "a", "recipient": "b",
                                   "offer": Coin("uluna", 500_000),
                                   "ask_denom": "usdr"})
-    assert filter_msgs_and_compute_tax([msg], TAX_OFF) == {}
+    assert filter_msgs_and_compute_tax([msg], TAX_OFF, EXEMPT) == {}
 
 
 def test_instantiate_contract_with_tax():
     msg = Msg(MsgKind.INSTANTIATE_CONTRACT,
               {"sender": "a", "funds": {"uluna": 250_000}, "label": "x"})
-    assert filter_msgs_and_compute_tax([msg], TAX_ON) == {"uluna": 3_000}
+    assert filter_msgs_and_compute_tax([msg], TAX_ON, EXEMPT) == {"uluna": 3_000}
     bare = Msg(MsgKind.INSTANTIATE_CONTRACT,
                {"sender": "a", "funds": {}, "label": "x"})
-    assert filter_msgs_and_compute_tax([bare], TAX_ON) == {}
+    assert filter_msgs_and_compute_tax([bare], TAX_ON, EXEMPT) == {}
 
 
 def test_instantiate_contract_without_tax():
     msg = Msg(MsgKind.INSTANTIATE_CONTRACT,
               {"sender": "a", "funds": {"uluna": 250_000}, "label": "x"})
-    assert filter_msgs_and_compute_tax([msg], TAX_OFF) == {}
+    assert filter_msgs_and_compute_tax([msg], TAX_OFF, EXEMPT) == {}
 
 
 def test_execute_contract_with_tax():
     msg = Msg(MsgKind.EXECUTE_CONTRACT,
               {"sender": "a", "contract": "c1", "funds": {"uluna": 999}})
     # floor(0.012 * 999) = floor(11.988) = 11
-    assert filter_msgs_and_compute_tax([msg], TAX_ON) == {"uluna": 11}
+    assert filter_msgs_and_compute_tax([msg], TAX_ON, EXEMPT) == {"uluna": 11}
 
 
 def test_execute_contract_without_tax():
     msg = Msg(MsgKind.EXECUTE_CONTRACT,
               {"sender": "a", "contract": "c1", "funds": {"uluna": 999}})
-    assert filter_msgs_and_compute_tax([msg], TAX_OFF) == {}
+    assert filter_msgs_and_compute_tax([msg], TAX_OFF, EXEMPT) == {}
 
 
 def test_exec_with_tax():
     inner = _send_msg(1_000_000)
     wrapped = Msg(MsgKind.EXEC, {"sender": "a", "msgs": [inner]})
     double = Msg(MsgKind.EXEC, {"sender": "a", "msgs": [wrapped]})
-    assert filter_msgs_and_compute_tax([wrapped], TAX_ON) == {"uluna": 12_000}
-    assert filter_msgs_and_compute_tax([double], TAX_ON) == {"uluna": 12_000}
+    assert filter_msgs_and_compute_tax([wrapped], TAX_ON, EXEMPT) == {"uluna": 12_000}
+    assert filter_msgs_and_compute_tax([double], TAX_ON, EXEMPT) == {"uluna": 12_000}
 
 
 def test_exec_without_tax():
     wrapped = Msg(MsgKind.EXEC, {"sender": "a", "msgs": [_send_msg(10**6)]})
-    assert filter_msgs_and_compute_tax([wrapped], TAX_OFF) == {}
+    assert filter_msgs_and_compute_tax([wrapped], TAX_OFF, EXEMPT) == {}
 
 
 def test_criterion_03_burn_tax_suite(verdict):
@@ -278,8 +277,8 @@ def test_criterion_03_burn_tax_suite(verdict):
     for _ in range(2_000):
         amount = rng.randint(0, 10**13)
         cap = rng.choice([rng.randint(0, 10**8), 10**18])
-        params = TaxComputationParams(tax_rate=rate, default_tax_cap=cap)
-        got = compute_tax({"uluna": amount}, params)
+        ts = TreasuryState(tax_rate=rate, default_tax_cap=cap)
+        got = compute_tax({"uluna": amount}, ts, EXEMPT)
         want = min((12 * amount) // 1000, cap)
         assert got.get("uluna", 0) == want, (amount, cap)
 
@@ -294,7 +293,7 @@ def test_criterion_03_burn_tax_suite(verdict):
         Msg(MsgKind.VOTE, {"voter": "a", "proposal_id": 1, "option": "yes"}),
         Msg(MsgKind.SUBMIT_PROPOSAL, {"proposer": "a", "proposal": {}}),
     ]
-    assert filter_msgs_and_compute_tax(untaxed, TAX_ON) == {}
+    assert filter_msgs_and_compute_tax(untaxed, TAX_ON, EXEMPT) == {}
     verdict("criterion 03 PASS: six message kinds taxed with/without the tax, "
             "2000 random floor(0.012*x) clamps exact, staking/governance free")
 
@@ -479,8 +478,7 @@ def test_criterion_07_governance_latency(verdict):
     probe = {"uluna": 1_000_000}
 
     def live_tax():
-        from luncsim.ante import tax_params
-        return compute_tax(probe, tax_params(chain.state.treasury, cfg))
+        return compute_tax(probe, chain.state.treasury, cfg.exempt_denoms)
 
     while chain.state.height < 25:
         chain.step()
@@ -545,8 +543,7 @@ def test_criterion_09_fee_estimator_agreement(verdict):
         ts.tax_caps = {"uluna": cap}
         cfg = AnteConfig(gas_price=Fraction(gas), gas_denom="uluna")
 
-        quote = estimate_fee(amount, "uluna", gas,
-                             simple_tax_params(rate, cap))
+        quote = estimate_fee(amount, "uluna", gas, rate, cap)
         tx = Tx(msgs=[_send_msg(amount)], fee_payer="payer",
                 declared_fee={"uluna": quote.total_fee} if quote.total_fee else {},
                 gas_limit=1)

@@ -7,13 +7,11 @@ from luncsim.ante import (
     AnteConfig,
     Msg,
     MsgKind,
-    TaxComputationParams,
     Tx,
     compute_tax,
     filter_msgs_and_compute_tax,
     required_gas_fee,
     run_ante_pipeline,
-    tax_params,
 )
 from luncsim.errors import InsufficientFunds
 from luncsim.ledger import BURN_MODULE, FEE_COLLECTOR
@@ -22,17 +20,16 @@ from luncsim.treasury import TreasuryState
 from helpers import balance, fresh_bank
 
 RATE = Fraction("0.012")
+EXEMPT = AnteConfig().exempt_denoms
 
 
-def params(rate=RATE, caps=None, default_cap=None, exempt=None):
+def treasury(rate=RATE, caps=None, default_cap=None):
     kwargs = {"tax_rate": rate}
     if caps is not None:
         kwargs["tax_caps"] = caps
     if default_cap is not None:
         kwargs["default_tax_cap"] = default_cap
-    if exempt is not None:
-        kwargs["exempt_denoms"] = frozenset(exempt)
-    return TaxComputationParams(**kwargs)
+    return TreasuryState(**kwargs)
 
 
 def send_msg(amount, denom="uluna", recipient="bob"):
@@ -41,25 +38,25 @@ def send_msg(amount, denom="uluna", recipient="bob"):
 
 
 def test_tax_is_floored_rational_product():
-    assert compute_tax({"uluna": 1_000_000}, params()) == {"uluna": 12_000}
+    assert compute_tax({"uluna": 1_000_000}, treasury(), EXEMPT) == {"uluna": 12_000}
     # 0.012 * 83 = 0.996 floors away entirely
-    assert compute_tax({"uluna": 83}, params()) == {}
-    assert compute_tax({"uluna": 84}, params()) == {"uluna": 1}
+    assert compute_tax({"uluna": 83}, treasury(), EXEMPT) == {}
+    assert compute_tax({"uluna": 84}, treasury(), EXEMPT) == {"uluna": 1}
 
 
 def test_tax_clamped_by_per_denom_cap():
-    p = params(caps={"uluna": 50_000_000})
-    assert compute_tax({"uluna": 100_000 * 1_000_000}, p) == {"uluna": 50_000_000}
+    ts = treasury(caps={"uluna": 50_000_000})
+    assert compute_tax({"uluna": 100_000 * 1_000_000}, ts, EXEMPT) == {"uluna": 50_000_000}
     # other denoms fall back to the default cap
-    p2 = params(caps={"uusd": 10}, default_cap=25)
-    assert compute_tax({"uluna": 10_000}, p2) == {"uluna": 25}
-    assert compute_tax({"uusd": 10_000}, p2) == {"uusd": 10}
+    ts2 = treasury(caps={"uusd": 10}, default_cap=25)
+    assert compute_tax({"uluna": 10_000}, ts2, EXEMPT) == {"uluna": 25}
+    assert compute_tax({"uusd": 10_000}, ts2, EXEMPT) == {"uusd": 10}
 
 
 def test_exempt_denoms_skip_tax():
-    assert compute_tax({"stake": 10**9}, params()) == {}
-    p = params(exempt={"uusd"})
-    assert compute_tax({"uusd": 10**9, "uluna": 1_000_000}, p) == {"uluna": 12_000}
+    assert compute_tax({"stake": 10**9}, treasury(), EXEMPT) == {}
+    assert compute_tax({"uusd": 10**9, "uluna": 1_000_000}, treasury(),
+                       frozenset({"uusd"})) == {"uluna": 12_000}
 
 
 def test_multi_send_taxes_every_output():
@@ -67,15 +64,15 @@ def test_multi_send_taxes_every_output():
         {"recipient": "bob", "coins": {"uluna": 100_000}},
         {"recipient": "carol", "coins": {"uluna": 200_000}},
     ]})
-    assert filter_msgs_and_compute_tax([msg], params()) == {"uluna": 3_600}
+    assert filter_msgs_and_compute_tax([msg], treasury(), EXEMPT) == {"uluna": 3_600}
 
 
 def test_wrapped_messages_are_unwrapped():
     inner = send_msg(1_000_000)
     wrapper = Msg(MsgKind.EXEC, {"sender": "alice", "msgs": [inner]})
-    assert filter_msgs_and_compute_tax([wrapper], params()) == {"uluna": 12_000}
+    assert filter_msgs_and_compute_tax([wrapper], treasury(), EXEMPT) == {"uluna": 12_000}
     double = Msg(MsgKind.EXEC, {"sender": "alice", "msgs": [wrapper]})
-    assert filter_msgs_and_compute_tax([double], params()) == {"uluna": 12_000}
+    assert filter_msgs_and_compute_tax([double], treasury(), EXEMPT) == {"uluna": 12_000}
 
 
 def test_staking_and_governance_messages_untaxed():
@@ -88,7 +85,7 @@ def test_staking_and_governance_messages_untaxed():
         Msg(MsgKind.VOTE, {"voter": "alice", "proposal_id": 1, "option": "yes"}),
         Msg(MsgKind.SUBMIT_PROPOSAL, {"proposal": {"kind": "text"}}),
     ]
-    assert filter_msgs_and_compute_tax(msgs, params()) == {}
+    assert filter_msgs_and_compute_tax(msgs, treasury(), EXEMPT) == {}
 
 
 def test_gas_fee_rounds_up():
@@ -154,13 +151,28 @@ def test_pipeline_overdeclared_fee_is_kept_by_collector():
     assert bank.module_balance(FEE_COLLECTOR, "uluna") == 8_000
 
 
-def test_tax_params_reads_treasury_state():
-    ts = TreasuryState(tax_rate=Fraction("0.005"), tax_caps={"uusd": 42})
-    cfg = AnteConfig(tax_power_upgrade_height=7, exempt_denoms=frozenset({"x"}))
-    p = tax_params(ts, cfg)
-    assert p.tax_rate == Fraction("0.005")
-    assert p.cap_for("uusd") == 42
-    assert p.exempt_denoms == frozenset({"x"})
+def test_pipeline_reads_live_treasury_settings():
+    # one tx sends a capped denom, a denom on the default cap and an exempt one
+    bank = fresh_bank([("alice", d, 10**12) for d in ("uluna", "uusd", "ukrw")])
+    ts = TreasuryState(tax_rate=Fraction("0.005"), tax_caps={"uusd": 42},
+                       default_tax_cap=4_000)
+    cfg = AnteConfig(tax_power_upgrade_height=7, exempt_denoms=frozenset({"ukrw"}))
+    send = Msg(MsgKind.SEND, {"sender": "alice", "recipient": "bob", "coins": {
+        "uluna": 1_000_000, "uusd": 1_000_000, "ukrw": 1_000_000}})
+
+    def admit():
+        tx = Tx(msgs=[send], fee_payer="alice",
+                declared_fee={"uluna": 10**6, "uusd": 10**6})
+        return run_ante_pipeline(bank, ts, cfg, tx, height=7)
+
+    # floor(0.005 * 10^6) = 5000: uluna falls back to the default cap 4000
+    assert admit() == {"uluna": 4_000, "uusd": 42}
+    # the store is read per tx: the new rate and cap table apply at once
+    ts.tax_rate = Fraction("0.001")
+    ts.tax_caps = {"uusd": 500}
+    assert admit() == {"uluna": 1_000, "uusd": 500}
+    assert bank.supply.cumulative_burned == {"uluna": 5_000, "uusd": 542}
+    assert "ukrw" not in ts.epoch_burned
 
 
 def test_tx_validation():

@@ -170,6 +170,15 @@ def test_cli_estimate_fee_rate_is_a_rate(rate, capsys):
     assert "--rate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--cap", "-1"), ("--amount", "-5"), ("--gas", "-3"), ("--amount", "x"),
+])
+def test_cli_estimate_fee_amounts_are_non_negative_integers(flag, value, capsys):
+    # a repeated flag takes its last value
+    assert main(["estimate-fee", "--amount", "5", flag, value]) == 4
+    assert flag in capsys.readouterr().err
+
+
 def test_oversized_decimal_is_refused_before_it_is_parsed(tmp_path):
     g = _write(tmp_path, "g.json", dict(GENESIS, treasury={"tax_rate": "1e-1000000"}))
     s = _write(tmp_path, "s.json", dict(HALTING, strict_halt=False))

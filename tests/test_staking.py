@@ -229,17 +229,14 @@ def test_delegate_insufficient_funds_after_cap_passes():
 
 
 def test_create_validator_respects_gates_and_duplicates():
-    bank = fresh_bank()
-    st_state = staking_fixture(bank=bank, validators=[("val1", 10**9)], gates=GATES)
+    st_state = staking_fixture(validators=[("val1", 10**9)], gates=GATES)
     inside = GATES.staking_power_upgrade_height + 1
     with pytest.raises(MsgNotSupported):
-        create_validator(bank, st_state, "fresh", inside)
-    val = create_validator(bank, st_state, "fresh",
-                           GATES.staking_power_revert_height)
+        create_validator(st_state, "fresh", inside)
+    val = create_validator(st_state, "fresh", GATES.staking_power_revert_height)
     assert val.tokens == 0 and val.status == "active"
     with pytest.raises(DuplicateValidator):
-        create_validator(bank, st_state, "fresh",
-                         GATES.staking_power_revert_height + 1)
+        create_validator(st_state, "fresh", GATES.staking_power_revert_height + 1)
 
 
 def test_undelegate_schedules_and_matures():

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from luncsim.ante import AnteConfig, tax_params
 from luncsim.coins import Coin
 from luncsim.distribution import DistributionParams, DistributionState
 from luncsim.errors import MalformedProposal
@@ -59,13 +58,6 @@ def test_queue_rejects_unknown_key():
     ts = TreasuryState()
     with pytest.raises(MalformedProposal):
         queue_policy_update(ts, 1, "GasPolicy", constraints("0", "1", "1"))
-
-
-def test_tax_cap_lookup_falls_back_to_default():
-    ts = TreasuryState(tax_caps={"uusd": 42}, default_tax_cap=99)
-    params = tax_params(ts, AnteConfig())
-    assert params.cap_for("uusd") == 42
-    assert params.cap_for("uluna") == 99
 
 
 def test_record_epoch_burn_accumulates():

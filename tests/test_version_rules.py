@@ -162,7 +162,7 @@ def test_handlers_decide_from_version_rules(bits, monkeypatch):
     assert verdict == ("MsgNotSupported" if rules.delegate_blocked
                        else "PowerCapExceeded" if rules.power_cap else "ok")
     try:
-        create_validator(bank, st_state, "val9", 5)
+        create_validator(st_state, "val9", 5)
         created = True
     except MsgNotSupported:
         created = False
