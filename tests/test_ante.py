@@ -175,6 +175,14 @@ def test_pipeline_reads_live_treasury_settings():
     assert "ukrw" not in ts.epoch_burned
 
 
+def test_tax_params_reads_treasury_state():
+    # the tax settings come straight from the TreasuryState: rate, per-denom caps
+    ts = TreasuryState(tax_rate=Fraction("0.005"), tax_caps={"uusd": 42})
+    exempt = AnteConfig(exempt_denoms=frozenset({"x"})).exempt_denoms
+    assert compute_tax({"uluna": 1_000, "uusd": 100_000, "x": 10**6}, ts, exempt) \
+        == {"uluna": 5, "uusd": 42}
+
+
 def test_tx_validation():
     with pytest.raises(ValueError):
         Tx(msgs=[], fee_payer="alice")

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from luncsim.ante import compute_tax
 from luncsim.coins import Coin
 from luncsim.distribution import DistributionParams, DistributionState
 from luncsim.errors import MalformedProposal
@@ -58,6 +59,12 @@ def test_queue_rejects_unknown_key():
     ts = TreasuryState()
     with pytest.raises(MalformedProposal):
         queue_policy_update(ts, 1, "GasPolicy", constraints("0", "1", "1"))
+
+
+def test_tax_cap_lookup_falls_back_to_default():
+    ts = TreasuryState(tax_rate=Fraction(1), tax_caps={"uusd": 42}, default_tax_cap=99)
+    assert compute_tax({"uusd": 1_000, "uluna": 1_000}, ts, frozenset()) \
+        == {"uusd": 42, "uluna": 99}
 
 
 def test_record_epoch_burn_accumulates():
