@@ -14,7 +14,7 @@ import os
 import sys
 
 from .errors import ChainHalted, InvariantViolation, ParseError, SimError
-from .fees import estimate_fee
+from .fees import NATIVE_DENOMS, estimate_fee
 from .genesis import build_state, load_genesis_file
 from .inputs import fraction, integer
 from .report import write_reports
@@ -120,6 +120,8 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_estimate_fee(args) -> int:
+    if args.denom not in NATIVE_DENOMS:
+        raise ParseError(f"--denom must be one of {sorted(NATIVE_DENOMS)}, got {args.denom!r}")
     quote = estimate_fee(integer(args.amount, "--amount", low=0), args.denom,
                          integer(args.gas, "--gas", low=0),
                          fraction(args.rate, "--rate", 0, 1),

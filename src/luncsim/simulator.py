@@ -453,14 +453,11 @@ class Chain:
             else:
                 ver = versions[0] if versions else staking_mod.V21
                 tx_results = apply_txs(state, pending, height, ver)
-            included = {p.seq for p in pending}
-            state.mempool = [p for p in state.mempool if p.seq not in included]
+            state.mempool = [p for p in state.mempool if p.inclusion_height > height]
 
         # -- end of block: rewards, maturities, tallies, epoch ----------------
         proposer = self._select_proposer()
-        precommit = self.scenario.precommit_overrides.get(height)
-        if precommit is None:
-            precommit = min(Fraction(1), max(TWO_THIRDS, compatible))
+        precommit = self.scenario.precommit_overrides.get(height, compatible)
         # genesis may seed a zero entry in the collector
         fees = {d: a for d, a in state.bank.module_balances(FEE_COLLECTOR).items() if a}
         if fees and proposer is not None:
@@ -721,5 +718,6 @@ class Chain:
 
 
 def run_scenario(state: ChainState, scenario: Scenario) -> RunResult:
-    """Replay a scenario from a genesis state; the input state is not shared."""
+    """Replay a scenario from `state`, which the replay advances in place:
+    `result.final_state is state` unless a `rollback-to` replaced it."""
     return Chain(state, scenario).run()

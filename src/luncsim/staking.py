@@ -16,16 +16,18 @@ The cap compares (validatorPower + delta) / (totalPower + delta) exactly with
 integer cross-multiplication; an optional compatibility mode reproduces the
 original float32 comparison instead.
 
-`version_rules` gathers these three version-dependent decisions at a height;
+`version_rules` makes these three version-dependent decisions at a height;
 the message handlers decide from it, and the block producer compares it
 across versions to tell whether they can disagree about a block at all.
 """
 
 from __future__ import annotations
 
+import bisect
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import NamedTuple
 
 from . import blocktime
@@ -156,8 +158,8 @@ class StakingState:
     validators: dict = field(default_factory=dict)
     # delegator -> validator -> shares (1 share per bonded micro-unit)
     delegations: dict = field(default_factory=dict)
-    # Kept sorted by completion height: the unbonding period is uniform, so
-    # entries are appended in completion order.
+    # Kept sorted by completion height, equal heights in arrival order: a
+    # governance change to the unbonding period can make a later entry due first.
     unbonding: list = field(default_factory=list)
     # the owning ChainState's undo journal, or a store's own
     journal: Journal = field(default_factory=Journal, repr=False, compare=False)
@@ -234,28 +236,7 @@ def check_power_cap(
     return not (new_val * cap.denominator > cap.numerator * new_total)
 
 
-# -- gate predicates ---------------------------------------------------------
-
-
-def delegate_gate_blocks(gates: HeightGates, height: int, version: str = V21) -> bool:
-    """True when `delegate` is rejected at this height under this version."""
-    if version == V20:
-        return height > gates.staking_power_upgrade_height
-    return (
-        gates.staking_power_upgrade_height < height < gates.delegate_power_revert_height
-    )
-
-
-def create_validator_gate_blocks(gates: HeightGates, height: int, version: str = V21) -> bool:
-    if version == V20:
-        return height > gates.staking_power_upgrade_height
-    return (
-        gates.staking_power_upgrade_height < height < gates.staking_power_revert_height
-    )
-
-
-def power_cap_window_active(gates: HeightGates, height: int) -> bool:
-    return gates.delegate_power_revert_height <= height < gates.protect_power_height
+# -- version rules -----------------------------------------------------------
 
 
 class VersionRules(NamedTuple):
@@ -271,10 +252,14 @@ class VersionRules(NamedTuple):
 
 
 def version_rules(gates: HeightGates, height: int, version: str) -> VersionRules:
+    """The windows of the module docstring; any version but v20 acts as v21."""
+    past_upgrade = height > gates.staking_power_upgrade_height
+    if version == V20:
+        return VersionRules(past_upgrade, past_upgrade, False)
     return VersionRules(
-        delegate_blocked=delegate_gate_blocks(gates, height, version),
-        create_validator_blocked=create_validator_gate_blocks(gates, height, version),
-        power_cap=version != V20 and power_cap_window_active(gates, height),
+        delegate_blocked=past_upgrade and height < gates.delegate_power_revert_height,
+        create_validator_blocked=past_upgrade and height < gates.staking_power_revert_height,
+        power_cap=gates.delegate_power_revert_height <= height < gates.protect_power_height,
     )
 
 
@@ -401,7 +386,7 @@ def undelegate(
         amount=amount.amount,
         completion_height=height + st.params.unbonding_period_blocks,
     )
-    st.unbonding.append(entry)
+    bisect.insort(st.unbonding, entry, key=attrgetter("completion_height"))
     return entry
 
 

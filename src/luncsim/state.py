@@ -144,36 +144,21 @@ _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 def state_hash(state: ChainState) -> str:
     """sha256 of `_dumps(state.canonical())`: sorted keys, string amounts.
 
-    The text is fed to the hasher in pieces, so that a hash holds neither a
-    second copy of every balance nor the whole serialization.
+    The text without accounts is split at its first `"accounts":{}`, which
+    is the bank's: `ante` is the only top-level key sorted before `bank`, and
+    no JSON string holds an unescaped quote. The account entries are fed to
+    the hasher in between, `_ACCOUNT_CHUNK` at a time, so that a hash holds
+    neither a second copy of every balance nor the whole serialization.
     """
-    digest = hashlib.sha256()
-    for text in _canonical_text(state):
-        digest.update(text.encode("utf-8"))
+    head, tail = _dumps(state.canonical(accounts=False)).split('"accounts":{}', 1)
+    digest = hashlib.sha256((head + '"accounts":{').encode())
+    entries = state.bank.account_entries()
+    sep = ""
+    while chunk := dict(islice(entries, _ACCOUNT_CHUNK)):
+        digest.update((sep + _dumps(chunk)[1:-1]).encode())
+        sep = ","
+    digest.update(("}" + tail).encode())
     return digest.hexdigest()
-
-
-def _canonical_text(state: ChainState):
-    """`_dumps(state.canonical())` in pieces, the account table
-    `_ACCOUNT_CHUNK` accounts at a time. `_dumps` of a dict is "{", its
-    `key:value` pairs in key order joined by ",", and "}", so writing the
-    pairs one by one gives the same text."""
-    tree = state.canonical(accounts=False)
-    for i, key in enumerate(sorted(tree)):
-        yield ("," if i else "{") + _dumps(key) + ":"
-        text = _dumps(tree[key])
-        if key == "bank":
-            head = '{"accounts":{'
-            assert text.startswith(head), "the account table must be the bank's first key"
-            yield head
-            entries = state.bank.account_entries()
-            sep = ""
-            while chunk := dict(islice(entries, _ACCOUNT_CHUNK)):
-                yield sep + _dumps(chunk)[1:-1]
-                sep = ","
-            text = text[len(head):]
-        yield text
-    yield "}"
 
 
 def verify_invariants(state: ChainState) -> None:

@@ -47,9 +47,8 @@ from luncsim.staking import (
     V21,
     StakingParams,
     check_power_cap,
-    create_validator_gate_blocks,
-    delegate_gate_blocks,
     mainnet_gates,
+    version_rules,
 )
 from luncsim.treasury import TreasuryState, epoch_transition
 from fuzztools import build_fuzz_configs
@@ -128,9 +127,9 @@ def test_criterion_02_gate_sweep(verdict):
     checked = 0
     for h in sorted(heights):
         for version in (V20, V21):
-            assert delegate_gate_blocks(gates, h, version) == \
-                _expected_delegate_block(h, version), (h, version)
-            assert create_validator_gate_blocks(gates, h, version) == \
+            rules = version_rules(gates, h, version)
+            assert rules.delegate_blocked == _expected_delegate_block(h, version), (h, version)
+            assert rules.create_validator_blocked == \
                 _expected_create_block(h, version), (h, version)
             checked += 2
     verdict(f"criterion 02 PASS: {checked} gate decisions match the strict "

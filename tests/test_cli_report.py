@@ -160,8 +160,9 @@ def test_cli_estimate_fee(capsys):
     assert code == 0
     quote = json.loads(capsys.readouterr().out)
     assert quote["total_fee"] == "12250"
-    # non-native denominations are refused without a traceback
-    assert main(["estimate-fee", "--amount", "5", "--denom", "wbtc"]) == 1
+    # a non-native denomination is bad input, refused without a traceback
+    assert main(["estimate-fee", "--amount", "5", "--denom", "wbtc"]) == 4
+    assert "--denom" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rate", ["x", "2"])

@@ -438,3 +438,35 @@ def test_version_insensitive_block_is_evaluated_once(monkeypatch):
     far = _run(_genesis(validators, accounts=[("alice", 10 * M)]), s)
     assert calls == {15: 1, 18: 1}
     assert far.tx_log == once.tx_log
+
+
+def test_unbondings_mature_in_completion_order_after_the_period_drops():
+    def undelegate(height, amount):
+        return {"at_height": height, "action": "submit-tx", "tx": {
+            "fee_payer": "val1",
+            "msgs": [{"kind": "undelegate", "delegator": "val1", "validator": "val1",
+                      "amount": {"denom": "uluna", "amount": str(amount)}}]}}
+
+    g = _genesis([("val1", 10, "v21")], governance={"voting_period_blocks": 5})
+    g["staking"]["unbonding_period_blocks"] = 100
+    s = {"name": "t", "end_height": 120, "events": [
+        undelegate(10, 1 * M),                                  # due at 110
+        {"at_height": 20, "action": "submit-proposal", "proposal": {
+            "kind": "param-change", "title": "shorter unbonding", "changes": [
+                {"subspace": "staking", "key": "UnbondingPeriodBlocks", "value": "5"}]}},
+        {"at_height": 21, "action": "cast-vote", "voter": "val1", "proposal_id": 1,
+         "option": "yes"},
+        undelegate(50, 2 * M),                                  # due at 55
+    ]}
+    chain = Chain(build_state(g), parse_scenario(s))
+    while chain.state.height < 54:
+        chain.step()
+    assert chain.state.staking.params.unbonding_period_blocks == 5
+    assert balance(chain.state.bank, "val1", "uluna") == 0
+    chain.step()
+    assert balance(chain.state.bank, "val1", "uluna") == 2 * M
+    assert [e.completion_height for e in chain.state.staking.unbonding] == [110]
+    while chain.state.height < 110:
+        chain.step()
+    assert balance(chain.state.bank, "val1", "uluna") == 3 * M
+    assert chain.state.staking.unbonding == []

@@ -25,14 +25,12 @@ from luncsim.staking import (
     check_power_cap,
     consensus_powers,
     create_validator,
-    create_validator_gate_blocks,
     delegate,
-    delegate_gate_blocks,
     mainnet_gates,
     mature_unbondings,
-    power_cap_window_active,
     total_bonded,
     undelegate,
+    version_rules,
 )
 from luncsim.ledger import BONDED_POOL, NOT_BONDED_POOL
 
@@ -56,41 +54,55 @@ def test_gates_reject_inconsistent_ordering():
                     protect_power_height=60)
 
 
+def _delegate_blocked(height, version):
+    return version_rules(GATES, height, version).delegate_blocked
+
+
+def _create_blocked(height, version):
+    return version_rules(GATES, height, version).create_validator_blocked
+
+
+def _capped(height):
+    return version_rules(GATES, height, V21).power_cap
+
+
 def test_patched_version_gate_is_permanent():
     u = GATES.staking_power_upgrade_height
-    assert not delegate_gate_blocks(GATES, u, V20)
-    assert delegate_gate_blocks(GATES, u + 1, V20)
-    assert delegate_gate_blocks(GATES, u + 10**7, V20)  # never re-enables
-    assert not create_validator_gate_blocks(GATES, u, V20)
-    assert create_validator_gate_blocks(GATES, u + 1, V20)
+    assert not _delegate_blocked(u, V20)
+    assert _delegate_blocked(u + 1, V20)
+    assert _delegate_blocked(u + 10**7, V20)  # never re-enables
+    assert not _create_blocked(u, V20)
+    assert _create_blocked(u + 1, V20)
+    # the patched software never caps: it blocks every delegation instead
+    assert not version_rules(GATES, GATES.delegate_power_revert_height, V20).power_cap
 
 
 def test_successor_delegate_window_is_open_interval():
     u = GATES.staking_power_upgrade_height
     r = GATES.delegate_power_revert_height
-    assert not delegate_gate_blocks(GATES, u, V21)
-    assert delegate_gate_blocks(GATES, u + 1, V21)
-    assert delegate_gate_blocks(GATES, r - 1, V21)
-    assert not delegate_gate_blocks(GATES, r, V21)
-    assert not delegate_gate_blocks(GATES, r + 1, V21)
+    assert not _delegate_blocked(u, V21)
+    assert _delegate_blocked(u + 1, V21)
+    assert _delegate_blocked(r - 1, V21)
+    assert not _delegate_blocked(r, V21)
+    assert not _delegate_blocked(r + 1, V21)
 
 
 def test_successor_create_validator_window():
     u = GATES.staking_power_upgrade_height
     r = GATES.staking_power_revert_height
-    assert not create_validator_gate_blocks(GATES, u, V21)
-    assert create_validator_gate_blocks(GATES, u + 1, V21)
-    assert create_validator_gate_blocks(GATES, r - 1, V21)
-    assert not create_validator_gate_blocks(GATES, r, V21)
+    assert not _create_blocked(u, V21)
+    assert _create_blocked(u + 1, V21)
+    assert _create_blocked(r - 1, V21)
+    assert not _create_blocked(r, V21)
 
 
 def test_power_cap_window_half_open():
     r = GATES.delegate_power_revert_height
     p = GATES.protect_power_height
-    assert not power_cap_window_active(GATES, r - 1)
-    assert power_cap_window_active(GATES, r)
-    assert power_cap_window_active(GATES, p - 1)
-    assert not power_cap_window_active(GATES, p)
+    assert not _capped(r - 1)
+    assert _capped(r)
+    assert _capped(p - 1)
+    assert not _capped(p)
 
 
 def test_cap_worked_pairs():

@@ -1,9 +1,11 @@
 """`state_hash` streams the account table and still commits to `canonical()`.
 
 The digest is defined as the sha256 of one JSON blob of `state.canonical()`.
-`state_hash` writes the account table into the hasher in chunks, so these
-tests hold it to that definition over states built to hit the chunk edges
-and the awkward strings, and bound the memory one hash may hold.
+`state_hash` splices the account table into the text at its first
+`"accounts":{}` and writes it into the hasher in chunks, so these tests hold
+it to that definition over states built to hit the chunk edges, the awkward
+strings and the other places that text can appear, and bound the memory one
+hash may hold.
 """
 
 import hashlib
@@ -13,7 +15,7 @@ import tracemalloc
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from luncsim import state as state_mod
-from luncsim.governance import Proposal
+from luncsim.governance import PARAM_CHANGE, ParamChange, Proposal
 from luncsim.ledger import DEFAULT_MODULE_ACCOUNTS
 from luncsim.state import state_hash
 
@@ -21,6 +23,7 @@ from helpers import chain_fixture
 
 CHUNK = state_mod._ACCOUNT_CHUNK
 MARKER = '"bank":{"accounts":{}'
+SPLICE = '"accounts":{}'
 
 
 def _blob_hash(state) -> str:
@@ -69,6 +72,14 @@ def _states(draw):
     state.governance.proposals[1] = Proposal(proposal_id=1, kind="text", title=title,
                                              changes=[], voting_end_height=9)
     state.warnings = draw(st.lists(st.sampled_from([MARKER, "\\" + MARKER]) | _text, max_size=2))
+    # the splice text in `ante`, the one key sorted before `bank`, escaped as a string
+    state.ante.exempt_denoms |= {draw(st.sampled_from([SPLICE, "x" + SPLICE + "}"]) | _text)}
+    state.ante.gas_denom = draw(st.sampled_from(["uluna", SPLICE]))
+    # and unescaped after `bank`: `from_config` ignores the extra key, the hash keeps it
+    policy = {"rate_min": "0", "rate_max": "1", "accounts": {}}
+    state.governance.proposals[2] = Proposal(
+        proposal_id=2, kind=PARAM_CHANGE, title="",
+        changes=[ParamChange("treasury", "TaxPolicy", policy)], voting_end_height=9)
     return state
 
 

@@ -25,10 +25,7 @@ from luncsim.staking import (
     V20,
     VersionRules,
     create_validator,
-    create_validator_gate_blocks,
     delegate,
-    delegate_gate_blocks,
-    power_cap_window_active,
     version_rules,
 )
 from luncsim.state import PendingTx, state_hash
@@ -137,12 +134,18 @@ def test_versions_with_equal_rules_form_one_class(block):
 @given(gates_and_height(), st.sampled_from(VERSIONS))
 def test_version_rules_are_the_gate_predicates(gates_height, version):
     cfg, height = gates_height
-    gates = staking_mod.HeightGates(**cfg)
-    assert version_rules(gates, height, version) == VersionRules(
-        delegate_blocked=delegate_gate_blocks(gates, height, version),
-        create_validator_blocked=create_validator_gate_blocks(gates, height, version),
-        power_cap=version != V20 and power_cap_window_active(gates, height),
+    upgrade = cfg["staking_power_upgrade_height"]
+    delegate_revert = cfg["delegate_power_revert_height"]
+    staking_revert = cfg["staking_power_revert_height"]
+    # v20 blocks both messages for good past the upgrade and never caps;
+    # any other version runs the successor's windows
+    successor = version != V20
+    expected = VersionRules(
+        delegate_blocked=height > upgrade and (not successor or height < delegate_revert),
+        create_validator_blocked=height > upgrade and (not successor or height < staking_revert),
+        power_cap=successor and delegate_revert <= height < cfg["protect_power_height"],
     )
+    assert version_rules(staking_mod.HeightGates(**cfg), height, version) == expected
 
 
 @pytest.mark.parametrize("bits", list(product((False, True), repeat=3)))
