@@ -1,15 +1,17 @@
-"""Golden pin of the input reader: what it accepts, what it builds, what it says.
+"""Golden pins of the input reader: what it accepts, what it builds, what it says.
 
-Every leaf of the `test_input_shapes` fixtures is swapped for every value
-there (2,079 cases), and the genesis and scenario are read with
-`build_state` and `parse_scenario`. A refused case is recorded by its
-ParseError message; an accepted one by the scenario's fields and a
-canonical rendering of each parsed event (height, action and payload, with
-`Tx.canonical()` and `Msg.canonical()` and the payloads' own types) plus
-the genesis state hash. The digest of all the cases is pinned, so a rewrite
-of the reader that is meant to change nothing, error messages included,
-must leave it as it is. A change that alters the reader on purpose prints
-the new values with
+The leaf pin swaps every leaf of the `test_input_shapes` fixtures for every
+value there (2,079 cases); the deletion pin deletes every mapping key of the
+fixtures, one at a time (230 cases), so it sees each default the reader
+fills in. Each case reads the genesis and scenario with `build_state` and
+`parse_scenario`. A refused case is recorded by its ParseError message; an
+accepted one by the scenario's fields and a canonical rendering of each
+parsed event (height, action and payload, with `Tx.canonical()` and
+`Msg.canonical()` and the payloads' own types) plus the genesis state hash.
+The digest of each pin's cases is pinned, so a rewrite of the reader that is
+meant to change nothing, error messages included, must leave both as they
+are. A change that alters the reader on purpose prints the new values of
+both pins with
 
     PYTHONPATH=src python tests/test_reader_pin.py
 
@@ -31,6 +33,10 @@ from test_input_shapes import DOCS, LEAVES, VALUES
 
 DIGEST = "10ed2ce4a17271c7cad47dcecb8241aa8565154dff76521950f799a192a9ec4c"
 ACCEPTED, REFUSED = 713, 1366
+DELETION_DIGEST = "0b759dff5053239d4bd8e14dadc5f703605f7b42563a2a437a162045bf2f41df"
+DELETION_ACCEPTED, DELETION_REFUSED = 109, 121
+
+DELETE = object()   # `_case`'s value that deletes the key instead of setting it
 
 
 def _enc(v):
@@ -55,7 +61,10 @@ def _case(doc: str, path: tuple, value) -> list:
     node = trees[doc]
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
     try:
         state = build_state(trees["genesis"])
         scn = parse_scenario(trees["scenario"])
@@ -66,17 +75,40 @@ def _case(doc: str, path: tuple, value) -> list:
             scn.strict_halt, scn.invariant_interval, _enc(scn.precommit_overrides), events]
 
 
-def observe():
-    cases = [[doc, list(path), repr(value), _case(doc, path, value)]
-             for doc, path in LEAVES for value in VALUES]
+def _keys(node, path=()):
+    """The path of every mapping key in `node`, at any depth."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(node, dict):
+            yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _keys(value, path + (key,))
+
+
+def _pin(cases: list) -> tuple:
     blob = json.dumps(cases, sort_keys=True, separators=(",", ":"))
-    accepted = sum(c[3][0] == "accepted" for c in cases)
+    accepted = sum(c[-1][0] == "accepted" for c in cases)
     return hashlib.sha256(blob.encode()).hexdigest(), accepted, len(cases) - accepted
+
+
+def observe():
+    return _pin([[doc, list(path), repr(value), _case(doc, path, value)]
+                 for doc, path in LEAVES for value in VALUES])
+
+
+def observe_deletions():
+    return _pin([[doc, list(path), _case(doc, path, DELETE)]
+                 for doc, text in DOCS.items() for path in _keys(json.loads(text))])
 
 
 def test_reader_matches_its_pin():
     assert observe() == (DIGEST, ACCEPTED, REFUSED)
 
 
+def test_reader_matches_its_deletion_pin():
+    assert observe_deletions() == (DELETION_DIGEST, DELETION_ACCEPTED, DELETION_REFUSED)
+
+
 if __name__ == "__main__":
-    print(observe())
+    print("leaf pin:", observe())
+    print("deletion pin:", observe_deletions())
