@@ -1,40 +1,38 @@
 """Genesis configuration: a JSON tree describing the chain's starting state.
 
-Schema (all sections optional unless noted; integers and amounts accept
-a JSON integer or a decimal string, rationals a number or a string such as
-"0.012" or "3/250", booleans only JSON true/false):
+Schema. Every section and field is optional except the three gate heights
+once `staking.gates` is given; a field left out takes the default of the
+record it fills (`ChainState`, `StakingParams`, `TreasuryState`,
+`DistributionParams`, `GovParams`, `AnteConfig`). Integers and amounts
+accept a JSON integer or a decimal string, rationals a number or a string
+such as "0.012" or "3/250", booleans only JSON true/false:
 
     {
-      "chain_id": "rebel-1-sim",
-      "genesis_height": 7561000,
-      "genesis_time": 0,
-      "accounts": [{"address": "alice", "denom": "uluna", "amount": "1000000"}],
-      "module_accounts": [{"module": "CommunityPool", "denom": "uluna", "amount": 0}],
+      "chain_id": str, "genesis_height": int, "genesis_time": int,
+      "accounts": [{"address": str, "denom": str, "amount": int >= 0}],
+      "module_accounts": [{"module": "CommunityPool", "denom": str, "amount": int >= 0}],
       "staking": {
-        "gates": {"staking_power_upgrade_height": ...,  # mainnet set if omitted
-                   "delegate_power_revert_height": ...,
-                   "staking_power_revert_height": ...,
-                   "protect_power_height": ...},        # optional
-        "bond_denom": "uluna",
-        "power_reduction": 1000000,
-        "unbonding_period_blocks": 259200,
-        "max_delegation_power_fraction": "1/4",
-        "float32_power_cap": false,
-        "validators": [{"address": "val1", "tokens": "9600000000",
-                         "version": "v20"}]
+        "gates": {"staking_power_upgrade_height": int,  # mainnet set if omitted
+                   "delegate_power_revert_height": int,
+                   "staking_power_revert_height": int,
+                   "protect_power_height": int},        # optional
+        "bond_denom": str, "power_reduction": int >= 1,
+        "unbonding_period_blocks": int >= 0,
+        "max_delegation_power_fraction": rational,
+        "float32_power_cap": bool,
+        "validators": [{"address": str, "tokens": int >= 0, "version": str}]
       },
-      "treasury": {"tax_rate": "0", "reward_weight": "1",
-                    "epoch_length_blocks": 86400,
-                    "tax_caps": {"uusd": "50000000"},
-                    "default_tax_cap": "...",
-                    "tax_policy": {...}, "reward_policy": {...}},
-      "distribution": {"community_tax": "0", "base_proposer_reward": "0.01",
-                        "bonus_proposer_reward": "0.04"},
-      "governance": {"quorum": "0.4", "pass_threshold": "0.5",
-                      "veto_threshold": "0.334", "voting_period_blocks": 12343},
-      "ante": {"tax_power_upgrade_height": 0, "exempt_denoms": ["stake"],
-                "gas_price": "0", "gas_denom": "uluna"},
-      "transfer": {"SendEnabled": false, "ReceiveEnabled": false}
+      "treasury": {"tax_rate": rational in [0, 1], "reward_weight": rational in [0, 1],
+                    "epoch_length_blocks": int >= 1, "tax_caps": {denom: int >= 0},
+                    "default_tax_cap": int >= 0,
+                    "tax_policy": policy, "reward_policy": policy},
+      "distribution": {"community_tax": rational, "base_proposer_reward": rational,
+                        "bonus_proposer_reward": rational},  # in [0, 1], at most 1 in sum
+      "governance": {"quorum": rational, "pass_threshold": rational,
+                      "veto_threshold": rational, "voting_period_blocks": int >= 0},
+      "ante": {"tax_power_upgrade_height": int, "exempt_denoms": [str],
+                "gas_price": rational >= 0, "gas_denom": str},
+      "transfer": {"SendEnabled": bool, "ReceiveEnabled": bool}
     }
 
 Validator stakes are credited to the operator account and immediately
@@ -42,22 +40,20 @@ self-bonded, so the bonded pool and the share identity are consistent from
 block one.
 
 Every field is read through `inputs`. Anything that does not fit this
-schema is a ParseError naming the field: a section of the wrong type; an
-address, denom (of every account entry, zero amounts too), version,
-`chain_id` or `gas_denom` that is not a string; a boolean that is not a JSON
-boolean; an integer that does not parse; a zero `power_reduction` or
-`epoch_length_blocks`; a negative amount or `gas_price`; a `tax_rate` or
-`reward_weight` outside [0, 1]; a rational longer than 100 characters or
-with a decimal exponent above 400 in size.
+schema is a ParseError naming the field, as is a rational longer than 100
+characters or with a decimal exponent above 400 in size, or gate heights
+out of order.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .ante import AnteConfig
 from .distribution import DistributionParams, DistributionState
 from .errors import MalformedProposal, ParseError, UnknownModule
 from .governance import GovernanceState, GovParams
-from .inputs import fraction, integer, load, read
+from .inputs import flag, fraction, integer, load, read, section, string, typed
 from .ledger import Bank
 from .staking import (
     PROTECT_WINDOW_BLOCKS,
@@ -69,7 +65,38 @@ from .staking import (
 )
 from .state import ChainState
 from .treasury import PolicyConstraints, TreasuryState
-from . import treasury as treasury_mod
+
+
+def _exempt_denoms(value, name: str) -> frozenset:
+    if not set(map(type, typed(value, name, list))) <= {str}:
+        raise ParseError(f"{name}[] must be strings, got {value!r}")
+    return frozenset(value)
+
+
+def _tax_caps(value, name: str) -> dict:
+    return {d: integer(a, f"{name}.{d}", low=0) for d, a in typed(value, name, dict).items()}
+
+
+# The fields each genesis section may set, with their readers (`inputs.section`);
+# a field left out takes the default of the record it fills.
+_RATE = partial(fraction, low=0, high=1)
+_STAKING = {"bond_denom": string, "power_reduction": partial(integer, low=1),
+            "unbonding_period_blocks": partial(integer, low=0),
+            "max_delegation_power_fraction": fraction, "float32_power_cap": flag}
+_TREASURY = {"tax_rate": _RATE, "reward_weight": _RATE,
+             "epoch_length_blocks": partial(integer, low=1), "tax_caps": _tax_caps,
+             "default_tax_cap": partial(integer, low=0)}
+_DISTRIBUTION = dict.fromkeys(("community_tax", "base_proposer_reward",
+                               "bonus_proposer_reward"), fraction)
+_GOVERNANCE = {"quorum": fraction, "pass_threshold": fraction, "veto_threshold": fraction,
+               "voting_period_blocks": partial(integer, low=0)}
+_ANTE = {"tax_power_upgrade_height": integer, "exempt_denoms": _exempt_denoms,
+         "gas_price": partial(fraction, low=0), "gas_denom": string}
+_TRANSFER = {"SendEnabled": flag, "ReceiveEnabled": flag}
+_HEADER = {"chain_id": string, "genesis_height": integer, "genesis_time": integer}
+# required whenever `staking.gates` is given; protect_power_height is optional
+_GATES = ("staking_power_upgrade_height", "delegate_power_revert_height",
+          "staking_power_revert_height")
 
 
 def load_genesis_file(path: str) -> dict:
@@ -83,37 +110,16 @@ def build_state(cfg: dict) -> ChainState:
     if not gates_cfg:
         gates = mainnet_gates()
     else:
-        revert = integer(gates_cfg.get("delegate_power_revert_height"),
-                         "staking.gates.delegate_power_revert_height")
+        heights = {key: integer(gates_cfg.get(key), "staking.gates." + key) for key in _GATES}
+        protect = gates_cfg.get("protect_power_height",
+                                heights["delegate_power_revert_height"] + PROTECT_WINDOW_BLOCKS)
         try:
-            gates = HeightGates(
-                staking_power_upgrade_height=integer(
-                    gates_cfg.get("staking_power_upgrade_height"),
-                    "staking.gates.staking_power_upgrade_height"),
-                delegate_power_revert_height=revert,
-                staking_power_revert_height=integer(
-                    gates_cfg.get("staking_power_revert_height"),
-                    "staking.gates.staking_power_revert_height"),
-                protect_power_height=integer(
-                    gates_cfg.get("protect_power_height", revert + PROTECT_WINDOW_BLOCKS),
-                    "staking.gates.protect_power_height"),
-            )
+            gates = HeightGates(**heights, protect_power_height=integer(
+                protect, "staking.gates.protect_power_height"))
         except ValueError as exc:   # the heights are out of order
             raise ParseError(f"bad staking.gates: {exc}") from exc
 
-    params = StakingParams(
-        bond_denom=read(staking_cfg, "bond_denom", str, "uluna", name="staking.bond_denom"),
-        power_reduction=integer(staking_cfg.get("power_reduction", 1_000_000),
-                                "staking.power_reduction", low=1),
-        unbonding_period_blocks=integer(
-            staking_cfg.get("unbonding_period_blocks", StakingParams().unbonding_period_blocks),
-            "staking.unbonding_period_blocks", low=0),
-        max_delegation_power_fraction=fraction(
-            staking_cfg.get("max_delegation_power_fraction", "1/4"),
-            "staking.max_delegation_power_fraction"),
-        float32_power_cap=read(staking_cfg, "float32_power_cap", bool, False,
-                               name="staking.float32_power_cap"),
-    )
+    params = StakingParams(**section(staking_cfg, "staking.", _STAKING))
     staking_state = StakingState(gates=gates, params=params)
 
     bank = Bank()
@@ -160,17 +166,7 @@ def build_state(cfg: dict) -> ChainState:
         genesis_bond(bank, staking_state, operator, tokens, version)
 
     tre_cfg = read(cfg, "treasury", dict, {})
-    tre = TreasuryState(
-        tax_rate=fraction(tre_cfg.get("tax_rate", 0), "treasury.tax_rate", 0, 1),
-        reward_weight=fraction(tre_cfg.get("reward_weight", 1), "treasury.reward_weight", 0, 1),
-        epoch_length_blocks=integer(
-            tre_cfg.get("epoch_length_blocks", treasury_mod.DEFAULT_EPOCH_LENGTH_BLOCKS),
-            "treasury.epoch_length_blocks", low=1),
-        tax_caps={d: integer(a, f"treasury.tax_caps.{d}", low=0) for d, a in
-                  read(tre_cfg, "tax_caps", dict, {}, name="treasury.tax_caps").items()},
-        default_tax_cap=integer(tre_cfg.get("default_tax_cap", treasury_mod.DEFAULT_TAX_CAP),
-                                "treasury.default_tax_cap", low=0),
-    )
+    tre = TreasuryState(**section(tre_cfg, "treasury.", _TREASURY))
     try:
         if "tax_policy" in tre_cfg:
             tre.tax_policy = PolicyConstraints.from_config(tre_cfg["tax_policy"])
@@ -181,64 +177,20 @@ def build_state(cfg: dict) -> ChainState:
     except MalformedProposal as exc:
         raise ParseError(f"bad treasury policy: {exc}") from exc
 
-    dist_cfg = read(cfg, "distribution", dict, {})
     try:
-        dist = DistributionState(params=DistributionParams(
-            community_tax=fraction(dist_cfg.get("community_tax", 0),
-                                   "distribution.community_tax"),
-            base_proposer_reward=fraction(dist_cfg.get("base_proposer_reward", "0.01"),
-                                          "distribution.base_proposer_reward"),
-            bonus_proposer_reward=fraction(dist_cfg.get("bonus_proposer_reward", "0.04"),
-                                           "distribution.bonus_proposer_reward"),
-        ))
+        dist = DistributionState(params=DistributionParams(**section(
+            read(cfg, "distribution", dict, {}), "distribution.", _DISTRIBUTION)))
     except ValueError as exc:   # a share outside [0, 1], or shares above 1 in total
         raise ParseError(f"bad distribution params: {exc}") from exc
 
-    gov_cfg = read(cfg, "governance", dict, {})
-    gov = GovernanceState(params=GovParams(
-        quorum=fraction(gov_cfg.get("quorum", "0.4"), "governance.quorum"),
-        pass_threshold=fraction(gov_cfg.get("pass_threshold", "0.5"),
-                                "governance.pass_threshold"),
-        veto_threshold=fraction(gov_cfg.get("veto_threshold", "0.334"),
-                                "governance.veto_threshold"),
-        voting_period_blocks=integer(
-            gov_cfg.get("voting_period_blocks", GovParams().voting_period_blocks),
-            "governance.voting_period_blocks", low=0),
-    ))
+    gov = GovernanceState(params=GovParams(**section(
+        read(cfg, "governance", dict, {}), "governance.", _GOVERNANCE)))
+    ante_cfg = AnteConfig(**section(read(cfg, "ante", dict, {}), "ante.", _ANTE))
+    transfer = section(read(cfg, "transfer", dict, {}), "transfer.", _TRANSFER)
 
-    ante_raw = read(cfg, "ante", dict, {})
-    exempt = read(ante_raw, "exempt_denoms", list, ["stake"], name="ante.exempt_denoms")
-    if not set(map(type, exempt)) <= {str}:
-        raise ParseError(f"ante.exempt_denoms[] must be strings, got {exempt!r}")
-    ante_cfg = AnteConfig(
-        tax_power_upgrade_height=integer(ante_raw.get("tax_power_upgrade_height", 0),
-                                         "ante.tax_power_upgrade_height"),
-        exempt_denoms=frozenset(exempt),
-        gas_price=fraction(ante_raw.get("gas_price", 0), "ante.gas_price", low=0),
-        gas_denom=read(ante_raw, "gas_denom", str, "uluna", name="ante.gas_denom"),
-    )
-
-    transfer_cfg = read(cfg, "transfer", dict, {})
-    transfer = {
-        "SendEnabled": read(transfer_cfg, "SendEnabled", bool, False,
-                            name="transfer.SendEnabled"),
-        "ReceiveEnabled": read(transfer_cfg, "ReceiveEnabled", bool, False,
-                               name="transfer.ReceiveEnabled"),
-    }
-
-    genesis_height = integer(cfg.get("genesis_height", 0), "genesis_height")
-    state = ChainState(
-        bank=bank,
-        staking=staking_state,
-        treasury=tre,
-        distribution=dist,
-        governance=gov,
-        ante=ante_cfg,
-        chain_id=read(cfg, "chain_id", str, "sim-1"),
-        genesis_height=genesis_height,
-        genesis_time=integer(cfg.get("genesis_time", 0), "genesis_time"),
-        height=genesis_height,
-        transfer_params=transfer,
-    )
+    state = ChainState(bank=bank, staking=staking_state, treasury=tre, distribution=dist,
+                       governance=gov, ante=ante_cfg, **section(cfg, "", _HEADER))
+    state.height = state.genesis_height
+    state.transfer_params.update(transfer)
     state.proposer_priority = {a: 0 for a in sorted(staking_state.validators)}
     return state

@@ -3,15 +3,18 @@
 Genesis and scenario fields are read here once, before anything runs, as
 Cosmos SDK's stateless `ValidateBasic` checks a msg at the edge; so are a
 proposal's changes when it is submitted. Each reader returns the engine
-type or raises a ParseError that names the field: `read` takes a field out
-of a mapping and checks its JSON type; `integer`, `fraction` and `coin`
-parse a value and check its range; `load` reads a JSON object from a file.
+type or raises a ParseError that names the field: `typed` checks a value's
+JSON type and `read` takes a field out of a mapping and checks it the same
+way; `integer`, `fraction` and `coin` parse a value and check its range;
+`section` reads the fields of a mapping through a table of such readers;
+`load` reads a JSON object from a file.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import partial
 
 from .coins import Coin
 from .errors import ParseError
@@ -39,6 +42,16 @@ def load(path: str, what: str) -> dict:
     return cfg
 
 
+def typed(value, name: str, kind: type):
+    """`value` when it is an instance of `kind`; `name` is the field's dotted path."""
+    if not isinstance(value, kind):
+        raise ParseError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
+
+
+string, flag = partial(typed, kind=str), partial(typed, kind=bool)
+
+
 def read(raw, key: str, kind: type = object, default=REQUIRED, name: str | None = None):
     """raw[key], an instance of `kind`, or `default` when absent; `name`
     (default `key`) is the field's dotted path in errors."""
@@ -50,9 +63,15 @@ def read(raw, key: str, kind: type = object, default=REQUIRED, name: str | None 
                          f"got {raw!r}") from None
     if value is REQUIRED:
         raise ParseError(f"{name or key} is missing")
-    if not isinstance(value, kind):
-        raise ParseError(f"{name or key} must be {_TYPE_NAMES[kind]}, got {value!r}")
-    return value
+    return typed(value, name or key, kind)
+
+
+def section(raw: dict, prefix: str, readers: dict) -> dict:
+    """Each field of `raw` that `readers` ({field: reader}) names, read as
+    `reader(value, prefix + field)` in table order. An absent field is left
+    out, so the record the result fills keeps its own default."""
+    return {key: reader(raw[key], prefix + key) for key, reader in readers.items()
+            if key in raw}
 
 
 def integer(value, name: str, low: int | None = None) -> int:

@@ -47,12 +47,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from operator import attrgetter
 
 from .ante import Msg, MsgKind, Tx
 from .coins import coins_from_config
 from .errors import ParseError
-from .inputs import coin, fraction, integer, load, read
+from .inputs import coin, flag, fraction, integer, load, read, section, string
 
 
 @dataclass
@@ -64,8 +65,8 @@ class ScenarioEvent:
 
 @dataclass
 class Scenario:
-    name: str
     end_height: int
+    name: str = "unnamed"
     events: list = field(default_factory=list)
     inclusion_delay: int = 2
     strict_halt: bool = False
@@ -243,6 +244,11 @@ def parse_event(raw: dict) -> ScenarioEvent:
     return ScenarioEvent(at_height, action, reader(raw))
 
 
+# the scenario's optional scalar fields; one left out keeps `Scenario`'s default
+_HEADER = {"name": string, "inclusion_delay": partial(integer, low=0), "strict_halt": flag,
+           "invariant_interval": partial(integer, low=0)}
+
+
 def parse_scenario(cfg: dict) -> Scenario:
     end_height = integer(read(cfg, "end_height"), "end_height")
     # a stable sort keeps the declaration order of events at one height
@@ -253,16 +259,8 @@ def parse_scenario(cfg: dict) -> Scenario:
             fraction(frac, f"precommit_overrides[{h!r}]", Fraction(2, 3), 1)
         for h, frac in read(cfg, "precommit_overrides", dict, {}).items()
     }
-    return Scenario(
-        name=read(cfg, "name", str, "unnamed"),
-        end_height=end_height,
-        events=events,
-        inclusion_delay=integer(cfg.get("inclusion_delay", 2), "inclusion_delay", low=0),
-        strict_halt=read(cfg, "strict_halt", bool, False),
-        invariant_interval=integer(cfg.get("invariant_interval", 0), "invariant_interval",
-                                   low=0),
-        precommit_overrides=overrides,
-    )
+    return Scenario(end_height=end_height, events=events, precommit_overrides=overrides,
+                    **section(cfg, "", _HEADER))
 
 
 def load_scenario_file(path: str) -> dict:
