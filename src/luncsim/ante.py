@@ -137,7 +137,7 @@ def taxable_principals(msg: Msg) -> list:
     if msg.kind == MsgKind.SWAP_SEND:
         return [msg.payload["offer"].as_coins()]
     if msg.kind in (MsgKind.INSTANTIATE_CONTRACT, MsgKind.EXECUTE_CONTRACT):
-        funds = msg.payload.get("funds", {})
+        funds = msg.payload["funds"]
         return [funds] if funds else []
     return []
 

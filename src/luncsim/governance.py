@@ -161,6 +161,15 @@ def _validate_change(raw: dict) -> ParamChange:
     return ParamChange(subspace=subspace, key=key, value=value)
 
 
+def read_proposal(raw: dict) -> dict:
+    """The kind, title and changes of the proposal in `raw`, a submit-proposal
+    event or msg; governance checks the changes when it is submitted."""
+    prop = read(raw, "proposal", dict)
+    return {"kind": read(prop, "kind", str, name="proposal.kind"),
+            "title": read(prop, "title", str, "", name="proposal.title"),
+            "changes": read(prop, "changes", list, [], name="proposal.changes")}
+
+
 def submit_proposal(gov: GovernanceState, kind: str, height: int,
                     title: str = "", changes: list | None = None) -> Proposal:
     if kind not in (TEXT, PARAM_CHANGE):

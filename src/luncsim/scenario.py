@@ -38,9 +38,10 @@ Events at the same height run in declaration order.
 
 Addresses, versions, vote options and denoms are strings; a sniper's
 delegator, the fee payer of the tx it fires, is a non-empty one, and gas
-limits are integers >= 0. A proposal's changes are checked when it is
-submitted: a bad change fails the user tx that carries it, or exits 4 as an
-event.
+limits are integers >= 0. An event's proposal and a user tx's are read by
+the same `governance.read_proposal` (kind a string, title a string, changes
+a list), and its changes are checked when it is submitted: a bad proposal or
+change fails the user tx that carries it, or exits 4 as an event.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from operator import attrgetter
 from .ante import Msg, MsgKind, Tx
 from .coins import coins_from_config
 from .errors import ParseError
+from .governance import read_proposal
 from .inputs import coin, flag, fraction, integer, load, read, section, string
 
 
@@ -207,20 +209,11 @@ def _sniper_arm(raw: dict) -> dict:
     }
 
 
-def _submit_proposal(raw: dict) -> dict:
-    prop = read(raw, "proposal", dict)
-    return {
-        "kind": read(prop, "kind", str, name="proposal.kind"),
-        "title": read(prop, "title", str, "", name="proposal.title"),
-        "changes": read(prop, "changes", list, [], name="proposal.changes"),
-    }
-
-
 _EVENT_READERS = {
     "submit-tx": _submit_tx,
     "upgrade-validator": lambda raw: {
         "validator": read(raw, "validator", str), "version": read(raw, "version", str)},
-    "submit-proposal": _submit_proposal,
+    "submit-proposal": read_proposal,
     "cast-vote": lambda raw: {
         "voter": read(raw, "voter", str),
         "proposal_id": integer(raw.get("proposal_id"), "proposal_id"),

@@ -128,9 +128,9 @@ def execute_msg(state: ChainState, msg: Msg, height: int, version: str) -> None:
         address = f"contract-{state.contract_counter}"
         state.journal.save(vars(state), "contract_counter")
         state.contract_counter += 1
-        bank.transfer(p["sender"], address, p.get("funds", {}))
+        bank.transfer(p["sender"], address, p["funds"])
     elif msg.kind == MsgKind.EXECUTE_CONTRACT:
-        bank.transfer(p["sender"], p["contract"], p.get("funds", {}))
+        bank.transfer(p["sender"], p["contract"], p["funds"])
     elif msg.kind == MsgKind.EXEC:
         for inner in p["msgs"]:
             execute_msg(state, inner, height, version)
@@ -142,17 +142,16 @@ def execute_msg(state: ChainState, msg: Msg, height: int, version: str) -> None:
                                p["amount"], height)
     elif msg.kind == MsgKind.CREATE_VALIDATOR:
         staking_mod.create_validator(state.staking, p["operator"], height,
-                                     software_version=p.get("version", staking_mod.V21),
+                                     software_version=p["version"],
                                      acting_version=version)
     elif msg.kind == MsgKind.VOTE:
         gov_mod.cast_vote(state.governance, p["voter"], p["proposal_id"], p["option"])
     elif msg.kind == MsgKind.SUBMIT_PROPOSAL:
-        prop = p["proposal"]
-        if not isinstance(prop, dict):
-            raise MalformedProposal(f"proposal must be a mapping, got {prop!r}")
-        gov_mod.submit_proposal(state.governance, prop.get("kind", TEXT), height,
-                                title=prop.get("title", ""),
-                                changes=prop.get("changes"))
+        try:
+            prop = gov_mod.read_proposal(p)
+        except ParseError as exc:   # a bad proposal fails the tx, as a bad change does
+            raise MalformedProposal(str(exc)) from exc
+        gov_mod.submit_proposal(state.governance, height=height, **prop)
     else:  # pragma: no cover - MsgKind is closed
         raise SimError(f"unhandled msg kind {msg.kind}")
 
@@ -264,8 +263,7 @@ class Chain:
                 raise UnknownValidator(p["validator"])
             self._pending_upgrades.append((p["validator"], p["version"]))
         elif ev.action == "submit-proposal":
-            prop = gov_mod.submit_proposal(state.governance, p["kind"], height,
-                                           title=p["title"], changes=p["changes"] or None)
+            prop = gov_mod.submit_proposal(state.governance, height=height, **p)
             log.info("height %d: proposal %d submitted (%s)", height,
                      prop.proposal_id, p["kind"])
         elif ev.action == "cast-vote":

@@ -259,6 +259,41 @@ def test_malformed_user_tx_fails_as_a_tx(case, tmp_path):
     assert balance(result.final_state.bank, "alice", "uluna") == 50_000 - 100
 
 
+# proposals whose shape the event reader refuses
+UNREADABLE_PROPOSALS = {
+    "title-a-number": ({"kind": "text", "title": 1.5}, "proposal.title must be a string"),
+    "title-a-mapping": ({"kind": "text", "title": {"a": 1}},
+                        "proposal.title must be a string"),
+    "title-null": ({"kind": "text", "title": None}, "proposal.title must be a string"),
+    "no-kind": ({"title": "no kind"}, "proposal.kind is missing"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_PROPOSALS))
+def test_tx_proposal_is_read_like_the_event_proposal(case, tmp_path, capsys):
+    """The proposal an event exits 4 on fails a user tx that carries it, fee kept."""
+    proposal, message = UNREADABLE_PROPOSALS[case]
+    g = _write(tmp_path, "g.json", GENESIS)
+    event = {"at_height": 3, "action": "submit-proposal", "proposal": proposal}
+    s = _write(tmp_path, "e.json", {"name": case, "end_height": 5, "events": [event]})
+    assert main(["run", "--genesis", g, "--scenario", s]) == 4
+    assert message in capsys.readouterr().err
+    scn = {"name": case, "end_height": 5, "events": [
+        {"at_height": 3, "action": "submit-tx", "tx": {
+            "fee_payer": "alice", "declared_fee": [{"denom": "uluna", "amount": "100"}],
+            "msgs": [{"kind": "submit-proposal", "proposer": "alice", "proposal": proposal}],
+        }},
+    ]}
+    s = _write(tmp_path, "s.json", scn)
+    out = tmp_path / "out"
+    assert main(["run", "--genesis", g, "--scenario", s, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["tx_results"] == {"3": [["failed", "MalformedProposal"]]}
+    result = run_scenario(build_state(GENESIS), parse_scenario(scn))
+    assert result.final_state.governance.proposals == {}
+    assert balance(result.final_state.bank, "alice", "uluna") == 50_000 - 100
+
+
 def test_float32_cap_past_the_float_range_fails_as_a_tx(tmp_path):
     # a power of 2**1024 or more has no float; the delegation fails, the
     # fee stays paid and the run goes on
