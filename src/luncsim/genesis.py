@@ -18,7 +18,7 @@ such as "0.012" or "3/250", booleans only JSON true/false:
                    "protect_power_height": int},        # optional
         "bond_denom": str, "power_reduction": int >= 1,
         "unbonding_period_blocks": int >= 0,
-        "max_delegation_power_fraction": rational,
+        "max_delegation_power_fraction": rational in (0, 1],
         "float32_power_cap": bool,
         "validators": [{"address": str, "tokens": int >= 0, "version": str}]
       },
@@ -28,8 +28,8 @@ such as "0.012" or "3/250", booleans only JSON true/false:
                     "tax_policy": policy, "reward_policy": policy},
       "distribution": {"community_tax": rational, "base_proposer_reward": rational,
                         "bonus_proposer_reward": rational},  # in [0, 1], at most 1 in sum
-      "governance": {"quorum": rational, "pass_threshold": rational,
-                      "veto_threshold": rational, "voting_period_blocks": int >= 0},
+      "governance": {"quorum": rational in [0, 1], "pass_threshold": rational in [0, 1],
+                      "veto_threshold": rational in [0, 1], "voting_period_blocks": int >= 0},
       "ante": {"tax_power_upgrade_height": int, "exempt_denoms": [str],
                 "gas_price": rational >= 0, "gas_denom": str},
       "transfer": {"SendEnabled": bool, "ReceiveEnabled": bool}
@@ -52,7 +52,7 @@ from functools import partial
 from .ante import AnteConfig
 from .distribution import DistributionParams, DistributionState
 from .errors import MalformedProposal, ParseError, UnknownModule
-from .governance import GovernanceState, GovParams
+from .governance import GovernanceState, GovParams, power_fraction
 from .inputs import flag, fraction, integer, load, read, section, string, typed
 from .ledger import Bank
 from .staking import (
@@ -82,13 +82,13 @@ def _tax_caps(value, name: str) -> dict:
 _RATE = partial(fraction, low=0, high=1)
 _STAKING = {"bond_denom": string, "power_reduction": partial(integer, low=1),
             "unbonding_period_blocks": partial(integer, low=0),
-            "max_delegation_power_fraction": fraction, "float32_power_cap": flag}
+            "max_delegation_power_fraction": power_fraction, "float32_power_cap": flag}
 _TREASURY = {"tax_rate": _RATE, "reward_weight": _RATE,
              "epoch_length_blocks": partial(integer, low=1), "tax_caps": _tax_caps,
              "default_tax_cap": partial(integer, low=0)}
 _DISTRIBUTION = dict.fromkeys(("community_tax", "base_proposer_reward",
                                "bonus_proposer_reward"), fraction)
-_GOVERNANCE = {"quorum": fraction, "pass_threshold": fraction, "veto_threshold": fraction,
+_GOVERNANCE = {"quorum": _RATE, "pass_threshold": _RATE, "veto_threshold": _RATE,
                "voting_period_blocks": partial(integer, low=0)}
 _ANTE = {"tax_power_upgrade_height": integer, "exempt_denoms": _exempt_denoms,
          "gas_price": partial(fraction, low=0), "gas_denom": string}

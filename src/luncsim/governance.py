@@ -135,6 +135,15 @@ class GovernanceState:
         }
 
 
+def power_fraction(value, name: str) -> Fraction:
+    """A cap on one validator's share of power, as genesis or a change sets it:
+    a rational in (0, 1]."""
+    cap = fraction(value, name)
+    if not 0 < cap <= 1:
+        raise ParseError(f"{name} must lie in (0, 1], got {value!r}")
+    return cap
+
+
 def _validate_change(raw: dict) -> ParamChange:
     """One change of a param-change proposal; a bad one is a MalformedProposal."""
     try:
@@ -154,8 +163,8 @@ def _validate_change(raw: dict) -> ParamChange:
             read(raw, "value", bool, name=key)
         elif key == "UnbondingPeriodBlocks":
             integer(value, key, low=1)
-        elif fraction(value, key, 0, 1) == 0:
-            raise ParseError(f"{key} must lie in (0, 1], got {value!r}")
+        else:
+            power_fraction(value, key)
     except ParseError as exc:
         raise MalformedProposal(str(exc)) from exc
     return ParamChange(subspace=subspace, key=key, value=value)

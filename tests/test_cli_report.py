@@ -499,6 +499,13 @@ BAD_GENESIS = {
         {"address": "a", "denom": "uluna", "amount": "10"}], "accounts[].denom"),
     "tax-rate-oversized-exponent": (("treasury", "tax_rate"), "1e-1000000",
                                     "treasury.tax_rate"),
+    "power-cap-zero": (("staking", "max_delegation_power_fraction"), "0",
+                       "staking.max_delegation_power_fraction must lie in (0, 1]"),
+    "power-cap-above-one": (("staking", "max_delegation_power_fraction"), "7",
+                            "staking.max_delegation_power_fraction must lie in (0, 1]"),
+    "quorum-above-one": (("governance", "quorum"), "5", "governance.quorum must lie in [0, 1]"),
+    "veto-threshold-negative": (("governance", "veto_threshold"), "-1/3",
+                                "governance.veto_threshold must lie in [0, 1]"),
 }
 
 

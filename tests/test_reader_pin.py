@@ -31,8 +31,8 @@ from luncsim.state import state_hash
 
 from test_input_shapes import DOCS, LEAVES, VALUES
 
-DIGEST = "10ed2ce4a17271c7cad47dcecb8241aa8565154dff76521950f799a192a9ec4c"
-ACCEPTED, REFUSED = 713, 1366
+DIGEST = "0041059be7283640e71c4459e6be9f988f41be10de5f8a213ef8ae10eeef9c1a"
+ACCEPTED, REFUSED = 704, 1375
 DELETION_DIGEST = "0b759dff5053239d4bd8e14dadc5f703605f7b42563a2a437a162045bf2f41df"
 DELETION_ACCEPTED, DELETION_REFUSED = 109, 121
 
