@@ -187,8 +187,6 @@ def submit_proposal(gov: GovernanceState, kind: str, height: int,
     if kind == PARAM_CHANGE:
         if not changes:
             raise MalformedProposal("param-change proposal carries no changes")
-        if not isinstance(changes, list):
-            raise MalformedProposal(f"changes must be a list, got {changes!r}")
         parsed = [_validate_change(c) for c in changes]
     elif changes:
         raise MalformedProposal("text proposal must not carry changes")

@@ -126,8 +126,8 @@ def _nests_within(value, limit: int) -> bool:
 
 
 def _proposal(raw: dict) -> dict:
-    """Governance checks the proposal when the msg runs; only its nesting is
-    bounded here, so that hashing the msg cannot overflow the stack."""
+    """`governance.read_proposal` reads the proposal when the msg runs; only its
+    nesting is bounded here, so that hashing the msg cannot overflow the stack."""
     proposer, proposal = read(raw, "proposer", str), raw["proposal"]
     if not _nests_within(proposal, MAX_PROPOSAL_DEPTH):
         raise ParseError("bad tx: proposal nested too deep")
