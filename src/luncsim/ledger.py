@@ -6,8 +6,8 @@ accrual). Balances are stored by denom, one column per denom:
 `accounts[denom][address]` and `modules[denom][module]`, like the
 denom-to-address index Cosmos SDK's x/bank keeps beside its balances. A
 stored amount is > 0, or a 0 seeded at genesis. Readers that want one
-owner's coins (`module_balances`, `account_entries`, `canonical`) regroup
-the columns by owner when they read them. A column, once made, is never
+owner's coins (`module_balances`, `canonical`, and `state.state_hash` for
+the account table) regroup the columns by owner when they read them. A column, once made, is never
 removed: an undo entry holds the column it was saved from, and a rollback
 writes the pre-image back into that column.
 
@@ -183,24 +183,11 @@ class Bank:
                     f"balance sum broken for {d}: total {total} != held {held.get(d, 0)}"
                 )
 
-    def account_entries(self):
-        """The account table as hashed: (address, balance with string amounts)
-        in address order, regrouped from the columns. An address with no
-        stored amount is skipped; a genesis zero is kept."""
-        cols = [(d, col) for d, col in self.accounts.items() if col]
-        if len(cols) == 1:   # one held denom: nothing to regroup
-            d, col = cols[0]
-            for addr in sorted(col):
-                yield addr, {d: str(col[addr])}
-            return
-        for addr in sorted(set().union(*(col for _, col in cols))):
-            yield addr, {d: str(col[addr]) for d, col in cols if addr in col}
-
-    def canonical(self, accounts: bool = True) -> dict:
-        """`accounts=False` leaves the account table empty, for a stream of
-        `account_entries` to fill in."""
+    def canonical(self) -> dict:
+        """The bank as hashed, with an empty account table: `state_hash`
+        writes the table straight from the columns."""
         return {
-            "accounts": dict(self.account_entries()) if accounts else {},
+            "accounts": {},
             "modules": {name: coins_as_strings(_owned(self.modules, name))
                         for name in sorted(DEFAULT_MODULE_ACCOUNTS)},
             "supply": self.supply.canonical(),

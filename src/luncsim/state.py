@@ -18,7 +18,8 @@ import copy
 import hashlib
 import json
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, groupby, islice
+from json.encoder import encode_basestring_ascii as _escape
 
 from .ante import AnteConfig, Tx
 from .coins import Coin
@@ -104,16 +105,16 @@ class ChainState:
         """A full deep copy; only rollback snapshots need one."""
         return copy.deepcopy(self)
 
-    def canonical(self, accounts: bool = True) -> dict:
-        """What `state_hash` commits to; `accounts=False` leaves the bank's
-        account table empty, for `state_hash` to stream."""
+    def canonical(self) -> dict:
+        """What `state_hash` commits to, but for the bank's account table,
+        which is left empty for `state_hash` to write from the columns."""
         return {
             "chain_id": self.chain_id,
             "genesis_height": self.genesis_height,
             "genesis_time": self.genesis_time,
             "height": self.height,
             "halted": self.halted,
-            "bank": self.bank.canonical(accounts),
+            "bank": self.bank.canonical(),
             "staking": self.staking.canonical(),
             "treasury": self.treasury.canonical(),
             "distribution": self.distribution.canonical(),
@@ -135,27 +136,37 @@ class ChainState:
         }
 
 
-# accounts serialised per `_dumps` call while hashing
+# account entries fed to the hasher per update
 _ACCOUNT_CHUNK = 256
 
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def state_hash(state: ChainState) -> str:
-    """sha256 of `_dumps(state.canonical())`: sorted keys, string amounts.
+    """sha256 of `_dumps(state.canonical())` with the account table filled in.
 
-    The text without accounts is split at its first `"accounts":{}`, which
-    is the bank's: `ante` is the only top-level key sorted before `bank`, and
-    no JSON string holds an unescaped quote. The account entries are fed to
-    the hasher in between, `_ACCOUNT_CHUNK` at a time, so that a hash holds
-    neither a second copy of every balance nor the whole serialization.
+    The text is split at its first `"accounts":{}`, which is the bank's:
+    `ante` is the only top-level key sorted before `bank`, and no JSON string
+    holds an unescaped quote. In between, the table's entries are written
+    straight from the balance columns as `_dumps` writes them (keys in `str`
+    order, text escaped to ASCII, a genesis zero kept) and fed to the hasher
+    `_ACCOUNT_CHUNK` at a time, so that a hash holds neither a second copy of
+    every balance nor the whole text.
     """
-    head, tail = _dumps(state.canonical(accounts=False)).split('"accounts":{}', 1)
+    head, tail = _dumps(state.canonical()).split('"accounts":{}', 1)
     digest = hashlib.sha256((head + '"accounts":{').encode())
-    entries = state.bank.account_entries()
+    cols = sorted((d, col) for d, col in state.bank.accounts.items() if col)
+    if len(cols) == 1:   # one held denom: nothing to regroup
+        (d, col), = cols
+        mid = ":{" + _escape(d) + ':"'
+        entries = (f'{_escape(a)}{mid}{col[a]}"}}' for a in sorted(col))
+    else:   # regroup by owner over one sorted list of every column's keys, repeats skipped
+        cols = [(_escape(d) + ':"', col) for d, col in cols]
+        entries = (_escape(a) + ":{" + ",".join([f'{d}{col[a]}"' for d, col in cols if a in col])
+                   + "}" for a, _ in groupby(sorted(chain.from_iterable(c for _, c in cols))))
     sep = ""
-    while chunk := dict(islice(entries, _ACCOUNT_CHUNK)):
-        digest.update((sep + _dumps(chunk)[1:-1]).encode())
+    while chunk := ",".join(islice(entries, _ACCOUNT_CHUNK)):
+        digest.update((sep + chunk).encode())
         sep = ","
     digest.update(("}" + tail).encode())
     return digest.hexdigest()

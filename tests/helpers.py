@@ -1,5 +1,7 @@
-"""Shared builders for the test modules."""
+"""Shared builders for the test modules, and the state hash's oracle."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 from luncsim.ante import AnteConfig
@@ -65,3 +67,29 @@ def chain_fixture(accounts=None, validators=None, gates=FAR_GATES,
     )
     kwargs.update(overrides)
     return ChainState(**kwargs)
+
+
+def account_table(bank: Bank) -> dict:
+    """The account table the state hash commits to, `{address: {denom:
+    str(amount)}}`, regrouped from the columns: an address with no stored
+    amount has no entry, and a genesis zero is kept."""
+    table: dict = {}
+    for denom, column in bank.accounts.items():
+        for address, amount in column.items():
+            table.setdefault(address, {})[denom] = str(amount)
+    return table
+
+
+def full_canonical(value) -> dict:
+    """`canonical()` of a Bank or a ChainState with the account table, which
+    `canonical()` leaves empty, filled in."""
+    if isinstance(value, Bank):
+        return {**value.canonical(), "accounts": account_table(value)}
+    return {**value.canonical(), "bank": full_canonical(value.bank)}
+
+
+def blob_hash(state: ChainState) -> str:
+    """The state hash by its definition: sha256 of one JSON blob of the full
+    canonical form, with sorted keys and escaped to ASCII."""
+    blob = json.dumps(full_canonical(state), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()

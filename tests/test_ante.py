@@ -17,7 +17,7 @@ from luncsim.errors import InsufficientFunds
 from luncsim.ledger import BURN_MODULE, FEE_COLLECTOR
 from luncsim.treasury import TreasuryState
 
-from helpers import balance, fresh_bank
+from helpers import balance, fresh_bank, full_canonical
 
 RATE = Fraction("0.012")
 EXEMPT = AnteConfig().exempt_denoms
@@ -122,10 +122,10 @@ def test_pipeline_rejects_underdeclared_fee_without_mutation():
     bank, ts, cfg = _pipeline_setup()
     tx = Tx(msgs=[send_msg(1_000_000)], fee_payer="alice",
             declared_fee={"uluna": 12_999}, gas_limit=100_000)
-    before = bank.canonical()
+    before = full_canonical(bank)
     with pytest.raises(InsufficientFunds):
         run_ante_pipeline(bank, ts, cfg, tx, height=50)
-    assert bank.canonical() == before
+    assert full_canonical(bank) == before
     assert ts.epoch_burned == {}
 
 

@@ -16,7 +16,7 @@ from luncsim.report import build_summary, csv_header, write_reports
 from luncsim.scenario import MAX_EXEC_DEPTH, MAX_PROPOSAL_DEPTH, parse_scenario
 from luncsim.simulator import run_scenario
 
-from helpers import balance
+from helpers import balance, blob_hash
 
 GENESIS = {
     "chain_id": "cli-t",
@@ -98,6 +98,21 @@ def test_cli_run_writes_reports_and_exits_zero(tmp_path, capsys):
     assert printed["blocks_committed"] == 5
     assert (tmp_path / "out" / "blocks.csv").exists()
     assert (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("columns", [1, 2])
+def test_cli_run_hashes_a_surrogate_address(columns, tmp_path, capsys):
+    # JSON input can name an account "\ud800x"; UTF-8 cannot encode its lone
+    # surrogate, so the hash must write the address escaped, as the blob does
+    genesis = dict(GENESIS, accounts=GENESIS["accounts"][:columns] + [
+        {"address": "\ud800x", "denom": "uluna", "amount": "5"}])
+    scn = {"name": "surrogate", "end_height": 5, "events": []}
+    g = _write(tmp_path, "g.json", genesis)
+    s = _write(tmp_path, "s.json", scn)
+    assert main(["run", "--genesis", g, "--scenario", s, "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    final = run_scenario(build_state(genesis), parse_scenario(scn)).final_state
+    assert summary["final_state_hash"] == blob_hash(final)
 
 
 def test_cli_terminal_halt_exit_code(tmp_path):

@@ -20,7 +20,7 @@ from luncsim.errors import (
 from luncsim.ledger import BURN_MODULE, FEE_COLLECTOR, TREASURY
 from luncsim.state import verify_invariants
 
-from helpers import balance, chain_fixture, fresh_bank
+from helpers import balance, chain_fixture, fresh_bank, full_canonical
 
 
 def test_coin_rejects_negative_and_blank_denom():
@@ -133,7 +133,7 @@ def test_deepcopy_is_independent():
     twin.transfer("alice", "bob", {"uluna": 10})
     assert balance(bank, "alice", "uluna") == 10
     assert balance(twin, "alice", "uluna") == 0
-    assert bank.canonical() != twin.canonical()
+    assert full_canonical(bank) != full_canonical(twin)
 
 
 def _calls_made(fn, *args) -> int:
@@ -203,14 +203,14 @@ def _run(bank, steps, branches=True) -> None:
             if commits:
                 _run(bank, inner, branches)
             continue
-        before = bank.canonical()
+        before = full_canonical(bank)
         mark = bank.journal.begin()
         _run(bank, inner)
         if not commits:
             bank.journal.rollback(mark)
         bank.journal.commit()
         if not commits:
-            assert bank.canonical() == before
+            assert full_canonical(bank) == before
             bank.verify_supply_identity()
 
 
@@ -222,18 +222,18 @@ def test_branches_roll_back_exactly_and_commit_what_no_branch_would_do(steps):
         _run(bank, [step])
         _run(unbranched, [step], branches=False)
         assert bank.journal.depth == 0 and not bank.journal._undo
-        assert bank.canonical() == unbranched.canonical()
+        assert full_canonical(bank) == full_canonical(unbranched)
         bank.verify_supply_identity()
 
 
 def test_a_rolled_back_credit_leaves_an_empty_column():
     bank = _genesis_bank()
-    before = bank.canonical()
+    before = full_canonical(bank)
     mark = bank.journal.begin()
     bank.mint(TREASURY, {"ukrw": 5})
     bank.send_module_to_account(TREASURY, "erin", {"ukrw": 2})
     bank.journal.rollback(mark)
     bank.journal.commit()
     assert bank.accounts["ukrw"] == {} and bank.modules["ukrw"] == {}
-    assert bank.canonical() == before
+    assert full_canonical(bank) == before
     bank.verify_supply_identity()
