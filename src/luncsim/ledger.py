@@ -7,9 +7,9 @@ accrual). Balances are stored by denom, one column per denom:
 denom-to-address index Cosmos SDK's x/bank keeps beside its balances. A
 stored amount is > 0, or a 0 seeded at genesis. Readers that want one
 owner's coins (`module_balances`, `canonical`, and `state.state_hash` for
-the account table) regroup the columns by owner when they read them. A column, once made, is never
-removed: an undo entry holds the column it was saved from, and a rollback
-writes the pre-image back into that column.
+the account table) regroup the columns by owner when they read them. A
+column, once made, is never removed: an undo entry holds the column it was
+saved from, and a rollback writes the pre-image back into that column.
 
 Every mint and burn is recorded so the supply identity
 

@@ -13,7 +13,6 @@ text can appear, and bound the memory one hash may hold.
 import tracemalloc
 
 import pytest
-
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from luncsim import state as state_mod
