@@ -69,23 +69,18 @@ def chain_fixture(accounts=None, validators=None, gates=FAR_GATES,
     return ChainState(**kwargs)
 
 
-def account_table(bank: Bank) -> dict:
-    """The account table the state hash commits to, `{address: {denom:
-    str(amount)}}`, regrouped from the columns: an address with no stored
-    amount has no entry, and a genesis zero is kept."""
+def full_canonical(value) -> dict:
+    """`canonical()` of a Bank or a ChainState with the account table that
+    `canonical()` leaves empty filled in as the state hash commits to it:
+    `{address: {denom: str(amount)}}`, regrouped from the columns, with no
+    entry for an address that stores no amount and a genesis zero kept."""
+    if not isinstance(value, Bank):
+        return {**value.canonical(), "bank": full_canonical(value.bank)}
     table: dict = {}
-    for denom, column in bank.accounts.items():
+    for denom, column in value.accounts.items():
         for address, amount in column.items():
             table.setdefault(address, {})[denom] = str(amount)
-    return table
-
-
-def full_canonical(value) -> dict:
-    """`canonical()` of a Bank or a ChainState with the account table, which
-    `canonical()` leaves empty, filled in."""
-    if isinstance(value, Bank):
-        return {**value.canonical(), "accounts": account_table(value)}
-    return {**value.canonical(), "bank": full_canonical(value.bank)}
+    return {**value.canonical(), "accounts": table}
 
 
 def blob_hash(state: ChainState) -> str:
