@@ -17,7 +17,8 @@ names the exempt denominations, which pay zero. The fee estimator calls the
 same `compute_tax`. Eligible kinds: send, multi-send (per output), swap-send
 (the offered coins), instantiate-contract and execute-contract (attached
 funds), and exec (recursing into wrapped messages). Staking and governance
-messages owe nothing.
+messages owe nothing. Admission runs once per tx, so it costs about its dict
+writes: one pass sums the tax into one dict, and each `Fraction` is read once.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coins import Coin, coins_add, coins_ge, floor_mul
+from .coins import Coin, coins_ge
 from .errors import InsufficientFunds
 from .ledger import BURN_MODULE, FEE_COLLECTOR
 from . import treasury as treasury_mod
@@ -44,6 +45,11 @@ class MsgKind(enum.Enum):
     CREATE_VALIDATOR = "create-validator"
     VOTE = "vote"
     SUBMIT_PROPOSAL = "submit-proposal"
+
+
+# bound once, in declaration order, so a hot path tests `kind is SEND` by identity
+(SEND, MULTI_SEND, SWAP_SEND, INSTANTIATE_CONTRACT, EXECUTE_CONTRACT, EXEC,
+ DELEGATE, UNDELEGATE, CREATE_VALIDATOR, VOTE, SUBMIT_PROPOSAL) = MsgKind
 
 
 @dataclass
@@ -113,55 +119,52 @@ class AnteConfig:
 def compute_tax(principal: dict, ts: treasury_mod.TreasuryState, exempt: frozenset) -> dict:
     """Tax owed on one transfer principal at the treasury's rate, floored and
     capped per denom; `exempt` denoms owe nothing."""
-    out = {}
+    return _add_tax({}, principal, ts, exempt, *ts.tax_rate.as_integer_ratio())
+
+
+def _add_tax(total: dict, principal: dict, ts, exempt: frozenset, num: int, den: int) -> dict:
+    """Add the tax owed on `principal` at the rate num/den into `total`."""
     for denom in sorted(principal):
         if denom in exempt:
             continue
-        owed = min(floor_mul(ts.tax_rate, principal[denom]),
-                   ts.tax_caps.get(denom, ts.default_tax_cap))
+        owed = principal[denom] * num // den     # coins.floor_mul
+        cap = ts.tax_caps.get(denom, ts.default_tax_cap)
+        if owed > cap:
+            owed = cap
         if owed:
-            out[denom] = owed
-    return out
-
-
-def taxable_principals(msg: Msg) -> list:
-    """The transfer principals a message owes tax on, one coin set each.
-
-    Multi-send is taxed per output, not on the summed total, which matters
-    because the flooring happens per principal. Untaxed kinds have none.
-    """
-    if msg.kind == MsgKind.SEND:
-        return [msg.payload["coins"]]
-    if msg.kind == MsgKind.MULTI_SEND:
-        return [out["coins"] for out in msg.payload["outputs"]]
-    if msg.kind == MsgKind.SWAP_SEND:
-        return [msg.payload["offer"].as_coins()]
-    if msg.kind in (MsgKind.INSTANTIATE_CONTRACT, MsgKind.EXECUTE_CONTRACT):
-        funds = msg.payload["funds"]
-        return [funds] if funds else []
-    return []
+            total[denom] = total.get(denom, 0) + owed
+    return total
 
 
 def filter_msgs_and_compute_tax(msgs: list, ts: treasury_mod.TreasuryState,
-                                exempt: frozenset) -> dict:
-    """Sum the tax owed across messages, recursing through exec wrappers."""
-    total: dict = {}
+                                exempt: frozenset, total: dict | None = None) -> dict:
+    """Sum the tax owed across messages into one dict (`total`), depth first
+    through exec wrappers. Multi-send is taxed per output, not on the summed
+    total, which matters because the flooring happens per principal."""
+    total = {} if total is None else total
+    num, den = ts.tax_rate.as_integer_ratio()
     for msg in msgs:
-        if msg.kind == MsgKind.EXEC:
-            total = coins_add(total, filter_msgs_and_compute_tax(msg.payload["msgs"], ts, exempt))
-        else:
-            for principal in taxable_principals(msg):
-                total = coins_add(total, compute_tax(principal, ts, exempt))
+        kind, p = msg.kind, msg.payload
+        if kind is SEND:
+            _add_tax(total, p["coins"], ts, exempt, num, den)
+        elif kind is MULTI_SEND:
+            for out in p["outputs"]:
+                _add_tax(total, out["coins"], ts, exempt, num, den)
+        elif kind is SWAP_SEND:
+            _add_tax(total, p["offer"].as_coins(), ts, exempt, num, den)
+        elif kind is INSTANTIATE_CONTRACT or kind is EXECUTE_CONTRACT:
+            _add_tax(total, p["funds"], ts, exempt, num, den)
+        elif kind is EXEC:
+            filter_msgs_and_compute_tax(p["msgs"], ts, exempt, total)
     return total
 
 
 def required_gas_fee(cfg: AnteConfig, gas_limit: int) -> dict:
     """Flat gas price times limit, rounded up to whole micro-units."""
-    if cfg.gas_price == 0 or gas_limit == 0:
+    num, den = cfg.gas_price.as_integer_ratio()
+    if not num or not gas_limit:
         return {}
-    num = cfg.gas_price.numerator * gas_limit
-    den = cfg.gas_price.denominator
-    return {cfg.gas_denom: -(-num // den)}
+    return {cfg.gas_denom: -(-num * gas_limit // den)}
 
 
 def run_ante_pipeline(bank, ts: treasury_mod.TreasuryState, cfg: AnteConfig,
@@ -175,7 +178,9 @@ def run_ante_pipeline(bank, ts: treasury_mod.TreasuryState, cfg: AnteConfig,
     """
     tax_active = height >= cfg.tax_power_upgrade_height
     tax = filter_msgs_and_compute_tax(tx.msgs, ts, cfg.exempt_denoms) if tax_active else {}
-    required = coins_add(required_gas_fee(cfg, tx.gas_limit), tax)
+    required = required_gas_fee(cfg, tx.gas_limit)
+    for d, a in tax.items():
+        required[d] = required.get(d, 0) + a
     if not coins_ge(tx.declared_fee, required):
         raise InsufficientFunds(
             f"declared fee {tx.declared_fee} does not cover gas+tax {required}"

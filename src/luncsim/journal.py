@@ -19,7 +19,8 @@ class Journal:
     closes the innermost branch and keeps its writes; branches nest, so a tx
     commits into the version branch around it, and the outermost commit
     empties the log. Outside a branch (`depth` 0) `save` records nothing,
-    and a hot writer skips the call.
+    and every writer on a tx's path (the bank's debit, credit, mint and
+    burn, and the treasury's burn counter) tests `depth` before it calls.
     """
 
     def __init__(self):

@@ -10,6 +10,8 @@ owner's coins (`module_balances`, `canonical`, and `state.state_hash` for
 the account table) regroup the columns by owner when they read them. A
 column, once made, is never removed: an undo entry holds the column it was
 saved from, and a rollback writes the pre-image back into that column.
+Every transfer is the one debit (`_take`), then the one credit (`_give`);
+every writer tests the journal's depth before it saves a pre-image.
 
 Every mint and burn is recorded so the supply identity
 
@@ -47,6 +49,7 @@ DEFAULT_MODULE_ACCOUNTS = (
     TREASURY,
     DISTRIBUTION,
 )
+_REGISTERED = frozenset(DEFAULT_MODULE_ACCOUNTS)
 
 
 @dataclass
@@ -93,7 +96,8 @@ class Bank:
             self._bump(self.supply.genesis_totals, d, a)
 
     def genesis_credit_module(self, name: str, denom: str, amount: int) -> None:
-        self._module(name)
+        if name not in _REGISTERED:
+            raise _unknown(name)
         self._give(self.modules, name, {denom: amount})
         self._bump(self.supply.totals, denom, amount)
         self._bump(self.supply.genesis_totals, denom, amount)
@@ -101,54 +105,67 @@ class Bank:
     # -- queries -----------------------------------------------------------
 
     def module_balance(self, name: str, denom: str) -> int:
-        self._module(name)
+        if name not in _REGISTERED:
+            raise _unknown(name)
         return self.modules.get(denom, {}).get(name, 0)
 
     def module_balances(self, name: str) -> dict:
-        self._module(name)
+        if name not in _REGISTERED:
+            raise _unknown(name)
         return _owned(self.modules, name)
 
     def total_supply(self, denom: str) -> int:
         return self.supply.totals.get(denom, 0)
 
-    # -- transfers ---------------------------------------------------------
+    # -- transfers: the one debit, then the one credit ----------------------
 
     def transfer(self, sender: str, recipient: str, coins: dict) -> None:
-        self._move(self.accounts, sender, self.accounts, recipient, coins)
+        self._take(self.accounts, sender, coins)
+        self._give(self.accounts, recipient, coins)
 
     def send_account_to_module(self, sender: str, module: str, coins: dict) -> None:
-        self._module(module)
-        self._move(self.accounts, sender, self.modules, module, coins)
+        if module not in _REGISTERED:
+            raise _unknown(module)
+        self._take(self.accounts, sender, coins)
+        self._give(self.modules, module, coins)
 
     def send_module_to_account(self, module: str, recipient: str, coins: dict) -> None:
-        self._module(module)
-        self._move(self.modules, module, self.accounts, recipient, coins)
+        if module not in _REGISTERED:
+            raise _unknown(module)
+        self._take(self.modules, module, coins)
+        self._give(self.accounts, recipient, coins)
 
     def send_module_to_module(self, src_module: str, dst_module: str, coins: dict) -> None:
-        self._module(src_module)
-        self._module(dst_module)
-        self._move(self.modules, src_module, self.modules, dst_module, coins)
+        for name in (src_module, dst_module):
+            if name not in _REGISTERED:
+                raise _unknown(name)
+        self._take(self.modules, src_module, coins)
+        self._give(self.modules, dst_module, coins)
 
     # -- supply changes ----------------------------------------------------
 
     def mint(self, module: str, coins: dict) -> None:
         """Create coins inside a module account, growing total supply."""
-        self._module(module)
+        if module not in _REGISTERED:
+            raise _unknown(module)
         if coins:
             self._give(self.modules, module, coins)
-            self.journal.save(vars(self.supply), "totals")
-            self.journal.save(vars(self.supply), "cumulative_minted")
+            if self.journal.depth:
+                self.journal.save(vars(self.supply), "totals")
+                self.journal.save(vars(self.supply), "cumulative_minted")
         for d, a in coins.items():
             self._bump(self.supply.totals, d, a)
             self._bump(self.supply.cumulative_minted, d, a)
 
     def burn(self, module: str, coins: dict) -> None:
         """Destroy coins held by a module account, shrinking total supply."""
-        self._module(module)
+        if module not in _REGISTERED:
+            raise _unknown(module)
         if coins:
             self._take(self.modules, module, coins)
-            self.journal.save(vars(self.supply), "totals")
-            self.journal.save(vars(self.supply), "cumulative_burned")
+            if self.journal.depth:
+                self.journal.save(vars(self.supply), "totals")
+                self.journal.save(vars(self.supply), "cumulative_burned")
         for d, a in coins.items():
             self._bump(self.supply.totals, d, -a)
             self._bump(self.supply.cumulative_burned, d, a)
@@ -195,12 +212,8 @@ class Bank:
 
     # -- internals ----------------------------------------------------------
 
-    def _module(self, name: str) -> None:
-        if name not in DEFAULT_MODULE_ACCOUNTS:
-            raise UnknownModule(f"module account {name!r} is not registered")
-
     def _take(self, table: dict, owner: str, coins: dict) -> None:
-        """The one debit: take non-empty `coins` from `owner` in `table`
+        """The one debit: take `coins` from `owner` in `table`
         (`accounts` or `modules`), or raise untouched."""
         for d, a in coins.items():
             col = table.get(d)
@@ -230,12 +243,6 @@ class Bank:
                 self.journal.save(col, owner)
             col[owner] = col.get(owner, 0) + a
 
-    def _move(self, src: dict, owner: str, dst: dict, recipient: str, coins: dict) -> None:
-        """Debit `owner` in `src` and credit `recipient` in `dst`; empty coins are a no-op."""
-        if coins:
-            self._take(src, owner, coins)
-            self._give(dst, recipient, coins)
-
     @staticmethod
     def _bump(store: dict, denom: str, delta: int) -> None:
         new = store.get(denom, 0) + delta
@@ -243,6 +250,10 @@ class Bank:
             store[denom] = new
         else:
             store.pop(denom, None)
+
+
+def _unknown(name: str) -> UnknownModule:
+    return UnknownModule(f"module account {name!r} is not registered")
 
 
 def _owned(table: dict, owner: str) -> dict:

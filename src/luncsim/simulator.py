@@ -61,7 +61,8 @@ from . import distribution as dist_mod
 from . import governance as gov_mod
 from . import staking as staking_mod
 from . import treasury as treasury_mod
-from .ante import Msg, MsgKind, Tx
+from .ante import (CREATE_VALIDATOR, DELEGATE, EXEC, EXECUTE_CONTRACT, INSTANTIATE_CONTRACT,
+                   MULTI_SEND, SEND, SUBMIT_PROPOSAL, SWAP_SEND, UNDELEGATE, VOTE, Msg, Tx)
 from .errors import (
     ChainHalted,
     MalformedProposal,
@@ -115,38 +116,38 @@ class RunResult:
 def execute_msg(state: ChainState, msg: Msg, height: int, version: str) -> None:
     """Apply one message's effects. Raises a SimError subclass to fail."""
     bank = state.bank
-    p = msg.payload
-    if msg.kind == MsgKind.SEND:
+    kind, p = msg.kind, msg.payload
+    if kind is SEND:
         bank.transfer(p["sender"], p["recipient"], p["coins"])
-    elif msg.kind == MsgKind.MULTI_SEND:
+    elif kind is MULTI_SEND:
         for out in p["outputs"]:
             bank.transfer(p["sender"], out["recipient"], out["coins"])
-    elif msg.kind == MsgKind.SWAP_SEND:
+    elif kind is SWAP_SEND:
         # the swap market is out of scope: the offered coins move as-is
         bank.transfer(p["sender"], p["recipient"], p["offer"].as_coins())
-    elif msg.kind == MsgKind.INSTANTIATE_CONTRACT:
+    elif kind is INSTANTIATE_CONTRACT:
         address = f"contract-{state.contract_counter}"
         state.journal.save(vars(state), "contract_counter")
         state.contract_counter += 1
         bank.transfer(p["sender"], address, p["funds"])
-    elif msg.kind == MsgKind.EXECUTE_CONTRACT:
+    elif kind is EXECUTE_CONTRACT:
         bank.transfer(p["sender"], p["contract"], p["funds"])
-    elif msg.kind == MsgKind.EXEC:
+    elif kind is EXEC:
         for inner in p["msgs"]:
             execute_msg(state, inner, height, version)
-    elif msg.kind == MsgKind.DELEGATE:
+    elif kind is DELEGATE:
         staking_mod.delegate(bank, state.staking, p["delegator"], p["validator"],
                              p["amount"], height, acting_version=version)
-    elif msg.kind == MsgKind.UNDELEGATE:
+    elif kind is UNDELEGATE:
         staking_mod.undelegate(bank, state.staking, p["delegator"], p["validator"],
                                p["amount"], height)
-    elif msg.kind == MsgKind.CREATE_VALIDATOR:
+    elif kind is CREATE_VALIDATOR:
         staking_mod.create_validator(state.staking, p["operator"], height,
                                      software_version=p["version"],
                                      acting_version=version)
-    elif msg.kind == MsgKind.VOTE:
+    elif kind is VOTE:
         gov_mod.cast_vote(state.governance, p["voter"], p["proposal_id"], p["option"])
-    elif msg.kind == MsgKind.SUBMIT_PROPOSAL:
+    elif kind is SUBMIT_PROPOSAL:
         try:
             prop = gov_mod.read_proposal(p)
         except ParseError as exc:   # a bad proposal fails the tx, as a bad change does
@@ -188,13 +189,13 @@ def apply_txs(state: ChainState, pending: list, height: int, version: str) -> li
     return results
 
 
-_VERSION_GATED = (MsgKind.DELEGATE, MsgKind.CREATE_VALIDATOR)
+_VERSION_GATED = (DELEGATE, CREATE_VALIDATOR)
 
 
 def _version_sensitive(msgs: list) -> bool:
     """True when some msg, at any exec depth, is gated by software version."""
     return any(m.kind in _VERSION_GATED
-               or (m.kind == MsgKind.EXEC and _version_sensitive(m.payload["msgs"]))
+               or (m.kind is EXEC and _version_sensitive(m.payload["msgs"]))
                for m in msgs)
 
 
@@ -304,7 +305,7 @@ class Chain:
                 continue
             sniper.fired = True
             tx = Tx(
-                msgs=[Msg(MsgKind.DELEGATE, {
+                msgs=[Msg(DELEGATE, {
                     "delegator": sniper.delegator,
                     "validator": sniper.validator,
                     "amount": sniper.amount,

@@ -109,7 +109,8 @@ class TreasuryState:
 
 
 def record_epoch_burn(ts: TreasuryState, coins: dict) -> None:
-    ts.journal.save(vars(ts), "epoch_burned")
+    if ts.journal.depth:
+        ts.journal.save(vars(ts), "epoch_burned")
     for d, a in coins.items():
         ts.epoch_burned[d] = ts.epoch_burned.get(d, 0) + a
 

@@ -1,8 +1,10 @@
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from luncsim import build_state, parse_scenario, run_scenario
+from luncsim import ante, build_state, parse_scenario, run_scenario
 from luncsim.ante import (
     AnteConfig,
     Msg,
@@ -13,11 +15,14 @@ from luncsim.ante import (
     required_gas_fee,
     run_ante_pipeline,
 )
+from luncsim.coins import Coin, coins_add, floor_mul
 from luncsim.errors import InsufficientFunds
 from luncsim.ledger import BURN_MODULE, FEE_COLLECTOR
+from luncsim.simulator import apply_txs
+from luncsim.state import PendingTx
 from luncsim.treasury import TreasuryState
 
-from helpers import balance, fresh_bank, full_canonical
+from helpers import balance, chain_fixture, fresh_bank, full_canonical
 
 RATE = Fraction("0.012")
 EXEMPT = AnteConfig().exempt_denoms
@@ -248,3 +253,135 @@ def test_burn_staging_keeps_the_burn_module_bytes(seed, burn_module, final_hash)
     assert bank.module_balances(BURN_MODULE) == burn_module
     assert bank.supply.cumulative_burned == {"uluna": 4 * 12_000 + 36_000}
     assert result.final_hash == final_hash
+
+
+# -- the one-pass tax and gas against the coins_add reference ----------------
+
+def _reference_compute_tax(principal, ts, exempt):
+    out = {}
+    for denom in sorted(principal):
+        if denom in exempt:
+            continue
+        owed = min(floor_mul(ts.tax_rate, principal[denom]),
+                   ts.tax_caps.get(denom, ts.default_tax_cap))
+        if owed:
+            out[denom] = owed
+    return out
+
+
+def _reference_principals(msg):
+    if msg.kind == MsgKind.SEND:
+        return [msg.payload["coins"]]
+    if msg.kind == MsgKind.MULTI_SEND:
+        return [out["coins"] for out in msg.payload["outputs"]]
+    if msg.kind == MsgKind.SWAP_SEND:
+        return [msg.payload["offer"].as_coins()]
+    if msg.kind in (MsgKind.INSTANTIATE_CONTRACT, MsgKind.EXECUTE_CONTRACT):
+        funds = msg.payload["funds"]
+        return [funds] if funds else []
+    return []
+
+
+def _reference_tax(msgs, ts, exempt):
+    """Sum the tax per principal with a `coins_add` copy at every step."""
+    total = {}
+    for msg in msgs:
+        if msg.kind == MsgKind.EXEC:
+            total = coins_add(total, _reference_tax(msg.payload["msgs"], ts, exempt))
+        else:
+            for principal in _reference_principals(msg):
+                total = coins_add(total, _reference_compute_tax(principal, ts, exempt))
+    return total
+
+
+def _reference_gas_fee(cfg, gas_limit):
+    if cfg.gas_price == 0 or gas_limit == 0:
+        return {}
+    num = cfg.gas_price.numerator * gas_limit
+    return {cfg.gas_denom: -(-num // cfg.gas_price.denominator)}
+
+
+_DENOMS = ["uluna", "uusd", "ukrw", "stake", "umnt"]
+_coin_sets = st.dictionaries(st.sampled_from(_DENOMS),
+                             st.one_of(st.integers(1, 1_000), st.integers(1, 10**15)),
+                             max_size=4)
+_leaf_msgs = st.one_of(
+    st.builds(lambda c: Msg(MsgKind.SEND, {"sender": "a", "recipient": "b", "coins": c}),
+              _coin_sets),
+    st.builds(lambda outs: Msg(MsgKind.MULTI_SEND, {"sender": "a", "outputs": [
+        {"recipient": "b", "coins": c} for c in outs]}), st.lists(_coin_sets, max_size=3)),
+    st.builds(lambda d, a: Msg(MsgKind.SWAP_SEND, {"sender": "a", "recipient": "b",
+                                                   "offer": Coin(d, a)}),
+              st.sampled_from(_DENOMS), st.integers(0, 10**12)),
+    st.builds(lambda kind, c: Msg(kind, {"sender": "a", "contract": "c", "funds": c}),
+              st.sampled_from([MsgKind.INSTANTIATE_CONTRACT, MsgKind.EXECUTE_CONTRACT]),
+              _coin_sets),
+    st.builds(lambda kind: Msg(kind, {}),
+              st.sampled_from([MsgKind.DELEGATE, MsgKind.UNDELEGATE, MsgKind.VOTE,
+                               MsgKind.CREATE_VALIDATOR, MsgKind.SUBMIT_PROPOSAL])),
+)
+_msg_trees = st.recursive(
+    _leaf_msgs,
+    lambda inner: st.builds(lambda msgs: Msg(MsgKind.EXEC, {"sender": "a", "msgs": msgs}),
+                            st.lists(inner, min_size=1, max_size=3)),
+    max_leaves=12)
+_caps = st.one_of(st.just(0), st.integers(0, 50), st.integers(0, 10**14))
+
+
+@settings(max_examples=400)
+@given(msgs=st.lists(_msg_trees, min_size=1, max_size=4),
+       rate=st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+       caps=st.dictionaries(st.sampled_from(_DENOMS), _caps, max_size=3),
+       default_cap=st.one_of(st.none(), _caps),
+       exempt=st.frozensets(st.sampled_from(_DENOMS), max_size=2),
+       gas_price=st.one_of(st.just(Fraction(0)),
+                           st.fractions(min_value=0, max_value=10, max_denominator=1_000)),
+       gas_limit=st.one_of(st.just(0), st.integers(0, 10**7)))
+def test_one_pass_tax_and_gas_equal_the_reference(msgs, rate, caps, default_cap, exempt,
+                                                  gas_price, gas_limit):
+    ts = treasury(rate=rate, caps=caps, default_cap=default_cap)
+    tax = filter_msgs_and_compute_tax(msgs, ts, exempt)
+    assert list(tax.items()) == list(_reference_tax(msgs, ts, exempt).items())
+    for msg in msgs:
+        for principal in _reference_principals(msg):
+            assert list(compute_tax(principal, ts, exempt).items()) == \
+                list(_reference_compute_tax(principal, ts, exempt).items())
+    cfg = AnteConfig(gas_price=gas_price)
+    assert list(required_gas_fee(cfg, gas_limit).items()) == \
+        list(_reference_gas_fee(cfg, gas_limit).items())
+
+
+def test_every_msg_kind_is_bound_once_by_name():
+    assert all(getattr(ante, kind.name) is kind for kind in MsgKind)
+
+
+def _python_calls(fn, *args) -> int:
+    """How many Python-level function calls `fn(*args)` makes, `fn` included."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_an_admitted_send_costs_few_python_calls():
+    # gas and tax both owed, outside any version branch: the fee, the staged
+    # burn and the send go through the one debit and the one credit, and no
+    # writer calls the journal before its branch opens (44 calls before)
+    state = chain_fixture(accounts=[("alice", "uluna", 10**9)], tax_rate="0.012")
+    state.ante.gas_price = Fraction("0.15")
+    tx = Tx(msgs=[send_msg(1_000_000)], fee_payer="alice",
+            declared_fee={"uluna": 30_000}, gas_limit=100_000)
+    pending = [PendingTx(tx=tx, inclusion_height=5, seq=0)]
+    assert state.journal.depth == 0
+    assert _python_calls(apply_txs, state, pending, 5, "v21") <= 28
+    assert balance(state.bank, "bob", "uluna") == 1_000_000
+    assert state.bank.module_balance(FEE_COLLECTOR, "uluna") == 30_000 - 12_000
+    assert state.treasury.epoch_burned == {"uluna": 12_000}

@@ -6,8 +6,9 @@ seed 0, the pinned final hash and blocks.csv digest. `--trace 1` also looks
 up every layer the spans wrap by name, so a renamed engine function fails
 here rather than only in the benchmark; on rebel1-replay and fork-replay it
 runs them through the idle fast-forward, whose invariant checks must still
-go through the wrapped `simulator.verify_invariants`. The traced block
-evaluation and state-hash counts are pinned where versions mix.
+go through the wrapped `simulator.verify_invariants`. Every traced layer's
+call count is pinned on every workload, so a change that drops a layer from
+the trace, or makes a layer run more or less often, fails here.
 """
 
 import json
@@ -20,15 +21,27 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 RUN = ROOT / "perfbench" / "run.py"
 WORKLOADS = ["rebel1-replay", "tx-large-state", "tx-mixed-versions", "fork-replay"]
-CASES = [(w, 0) for w in WORKLOADS] + \
-    [("rebel1-replay", 1), ("tx-mixed-versions", 1), ("fork-replay", 1)]
+CASES = [(w, 0) for w in WORKLOADS] + [(w, 1) for w in WORKLOADS]
 
-# tx-mixed-versions keeps its gates out of reach, so v20 and v21 run the same
-# rules and every block is evaluated once; rebel1's mixed blocks past the
-# testnet delegate revert still run per version, and the one at 7684492 halts
-EVALUATIONS = {
-    "tx-mixed-versions": {"simulator.apply_txs.calls": 40, "state.state_hash.calls": 1},
-    "rebel1-replay": {"simulator.apply_txs.calls": 4, "state.state_hash.calls": 5},
+# Each traced layer's calls in one replay at seed 0, in perfbench/spans.py's
+# order. tx-mixed-versions keeps its gates out of reach, so v20 and v21 run
+# the same rules and every block is evaluated once (40 apply_txs, 1 hash);
+# rebel1's mixed blocks past the testnet delegate revert still run per
+# version, and the one at 7684492 halts (4 apply_txs, 5 hashes, 129 walks).
+LAYERS = [
+    "simulator.block", "simulator.apply_event", "simulator.apply_txs",
+    "simulator.execute_msg", "simulator.select_proposer", "simulator.version_groups",
+    "simulator.report_row", "ante.run_ante_pipeline", "staking.delegate",
+    "staking.mature_unbondings", "distribution.allocate_block_fees",
+    "treasury.epoch_transition", "governance.tally", "state.clone", "state.state_hash",
+    "state.verify_invariants", "report.write_reports", "genesis.build_state",
+    "scenario.parse_scenario",
+]
+CALLS = {
+    "rebel1-replay": (11, 7, 4, 4, 140, 11, 21, 4, 4, 0, 0, 1, 0, 0, 5, 129, 1, 1, 1),
+    "tx-large-state": (24, 480, 24, 432, 24, 24, 24, 480, 0, 0, 24, 3, 0, 0, 1, 25, 1, 1, 1),
+    "tx-mixed-versions": (40, 821, 40, 723, 40, 40, 40, 800, 7, 3, 40, 4, 3, 0, 1, 41, 1, 1, 1),
+    "fork-replay": (70, 58, 50, 45, 138, 69, 138, 50, 0, 0, 45, 10, 1, 2, 1, 68, 1, 1, 1),
 }
 
 
@@ -44,10 +57,8 @@ def test_perfbench_replay_is_correct(workload, trace):
     assert report["correct"] is True
     assert report["failed"] == 0
     if trace:
-        assert report["metrics"]["state.clone.per_tx"]["value"] == 0
-    if trace and workload == "rebel1-replay":
-        assert report["metrics"]["state.verify_invariants.calls"]["value"] == 129
-    if trace and workload in EVALUATIONS:
-        # block evaluations and whole-state hashes, the final hash included
-        counts = {name: report["metrics"][name]["value"] for name in EVALUATIONS[workload]}
-        assert counts == EVALUATIONS[workload]
+        metrics = report["metrics"]
+        assert metrics["state.clone.per_tx"]["value"] == 0
+        counts = {name[:-len(".calls")]: m["value"] for name, m in metrics.items()
+                  if name.endswith(".calls")}
+        assert counts == dict(zip(LAYERS, CALLS[workload]))

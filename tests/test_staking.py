@@ -3,6 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+try:   # imported here, not in the timed body of the property test
+    import numpy as np
+except ImportError:   # pragma: no cover - numpy ships with the test environment
+    np = None
+
 from luncsim.coins import Coin
 from luncsim.errors import (
     DuplicateValidator,
@@ -132,12 +137,12 @@ def test_cap_float32_mode_diverges_from_exact():
     assert check_power_cap(*args, compat)
 
 
+@pytest.mark.skipif(np is None, reason="numpy is not installed")
 @settings(max_examples=600)
 @given(total=st.integers(1, 2**140), near=st.booleans(), offset=st.integers(-2, 2),
        share=st.fractions(min_value=0, max_value=1),
        cap=st.sampled_from([Fraction(1, 4), Fraction(1, 3), Fraction(2, 3), Fraction(1, 10)]))
 def test_cap_float32_mode_matches_numpy(total, near, offset, share, cap):
-    np = pytest.importorskip("numpy")
     # half the pairs sit within 2 of the cap's boundary, the rest anywhere
     v = int(total * cap) + offset if near else int(total * share)
     v = min(max(v, 0), total)
