@@ -127,7 +127,7 @@ def _add_tax(total: dict, principal: dict, ts, exempt: frozenset, num: int, den:
     for denom in sorted(principal):
         if denom in exempt:
             continue
-        owed = principal[denom] * num // den     # coins.floor_mul
+        owed = principal[denom] * num // den     # the rounding of coins.floor_mul
         cap = ts.tax_caps.get(denom, ts.default_tax_cap)
         if owed > cap:
             owed = cap
