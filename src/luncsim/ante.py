@@ -182,9 +182,8 @@ def run_ante_pipeline(bank, ts: treasury_mod.TreasuryState, cfg: AnteConfig,
     for d, a in tax.items():
         required[d] = required.get(d, 0) + a
     if not coins_ge(tx.declared_fee, required):
-        raise InsufficientFunds(
-            f"declared fee {tx.declared_fee} does not cover gas+tax {required}"
-        )
+        raise InsufficientFunds("declared fee {} does not cover gas+tax {}",
+                                tx.declared_fee, required)
     bank.send_account_to_module(tx.fee_payer, FEE_COLLECTOR, tx.declared_fee)
     if tax:
         # staged through the BurnModule: the move drops a genesis zero entry there

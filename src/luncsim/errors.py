@@ -14,7 +14,12 @@ class ParseError(SimError):
 
 
 class InsufficientFunds(SimError):
-    pass
+    """Raised as InsufficientFunds(template, *values). The text,
+    `template.format(*values)`, is built only when read: a failed tx keeps
+    only the class name."""
+
+    def __str__(self) -> str:
+        return self.args[0].format(*self.args[1:])
 
 
 class UnknownModule(SimError):

@@ -219,7 +219,7 @@ class Bank:
             col = table.get(d)
             if col is None or col.get(owner, 0) < a:
                 who = owner if table is self.accounts else f"module {owner}"
-                raise InsufficientFunds(f"{who} cannot cover {coins}")
+                raise InsufficientFunds("{} cannot cover {}", who, coins)
         saving = self.journal.depth
         for d, a in coins.items():
             col = table[d]

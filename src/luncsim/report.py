@@ -29,7 +29,8 @@ from .state import state_hash
 
 CSV_NAME = "blocks.csv"
 SUMMARY_NAME = "summary.json"
-CHUNK_HEIGHTS = 4096   # heights joined into one string by `write_block_csv`
+CHUNK_HEIGHTS = 4000   # heights a write of `write_block_csv`, whole centuries
+_SUFFIXES = [f"{i:02d}" for i in range(100)]
 
 
 def csv_header(denoms: list) -> list:
@@ -46,9 +47,17 @@ def write_block_csv(path: str, result: RunResult) -> None:
         csv.writer(fh).writerow(csv_header(result.denoms))
         for first, last, *values in result.rows:
             tail = "," + ",".join(map(str, values)) + "\r\n"
-            for lo in range(first, last + 1, CHUNK_HEIGHTS):
-                hi = min(lo + CHUNK_HEIGHTS, last + 1)
-                fh.write(tail.join(map(str, range(lo, hi))) + tail)
+            for base in range(first - first % CHUNK_HEIGHTS, last + 1, CHUNK_HEIGHTS):
+                lo, hi = max(base, first), min(base + CHUNK_HEIGHTS, last + 1)
+                # the whole centuries c in [c0, c1) lie between `cut` and c1 * 100
+                c0 = max(-(-lo // 100), 1)
+                c1 = max(hi // 100, c0)
+                cut = min(c0 * 100, hi)
+                fh.write(tail.join([
+                    *map(str, range(lo, cut)),
+                    *[p + (tail + p).join(_SUFFIXES) for p in map(str, range(c0, c1))],
+                    *map(str, range(c1 * 100, hi)),
+                ]) + tail)
 
 
 def build_summary(result: RunResult) -> dict:

@@ -16,8 +16,8 @@ from luncsim.ante import (
     run_ante_pipeline,
 )
 from luncsim.coins import Coin, coins_add, floor_mul
-from luncsim.errors import InsufficientFunds
-from luncsim.ledger import BURN_MODULE, FEE_COLLECTOR
+from luncsim.errors import InsufficientFunds, ParseError
+from luncsim.ledger import BURN_MODULE, COMMUNITY_POOL, FEE_COLLECTOR
 from luncsim.simulator import apply_txs
 from luncsim.state import PendingTx
 from luncsim.treasury import TreasuryState
@@ -132,6 +132,36 @@ def test_pipeline_rejects_underdeclared_fee_without_mutation():
         run_ante_pipeline(bank, ts, cfg, tx, height=50)
     assert full_canonical(bank) == before
     assert ts.epoch_burned == {}
+
+
+def test_insufficient_funds_texts_are_pinned():
+    # the text is built only when read; these are the texts the eager
+    # f-strings wrote, at both raise sites and inside a failing event's error
+    bank, ts, cfg = _pipeline_setup()
+    bank.genesis_credit_account("alice", "uusd", 5)
+    tx = Tx(msgs=[send_msg(1_000_000)], fee_payer="alice",
+            declared_fee={"uluna": 12_999}, gas_limit=100_000)
+    texts = []
+    for attempt in (lambda: run_ante_pipeline(bank, ts, cfg, tx, height=50),
+                    lambda: bank.transfer("alice", "bob", {"uluna": 1, "uusd": 6}),
+                    lambda: bank.send_module_to_account(COMMUNITY_POOL, "bob", {"uluna": 1})):
+        with pytest.raises(InsufficientFunds) as info:
+            attempt()
+        texts.append(str(info.value))
+    assert texts == [
+        "declared fee {'uluna': 12999} does not cover gas+tax {'uluna': 13000}",
+        "alice cannot cover {'uluna': 1, 'uusd': 6}",
+        "module CommunityPool cannot cover {'uluna': 1}",
+    ]
+    genesis_cfg = {"accounts": [{"address": "alice", "denom": "uluna", "amount": "1000"}],
+                   "staking": {"validators": [{"address": "val1", "tokens": "1000000"}]}}
+    scenario_cfg = {"name": "spend-above-pool", "end_height": 5, "events": [
+        {"at_height": 3, "action": "community-spend", "recipient": "alice",
+         "coins": [{"denom": "uluna", "amount": "1"}]}]}
+    with pytest.raises(ParseError) as info:
+        run_scenario(build_state(genesis_cfg), parse_scenario(scenario_cfg))
+    assert str(info.value) == ("community-spend event at height 3: InsufficientFunds: "
+                               "module CommunityPool cannot cover {'uluna': 1}")
 
 
 def test_pipeline_skips_burn_before_activation_height():

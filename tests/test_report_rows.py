@@ -115,13 +115,22 @@ def _csv_writer_bytes(denoms, rows) -> bytes:
     return expected.getvalue().encode()
 
 
-# a run starts at 0 or just below a digit-count change or a chunk multiple,
-# and is shorter than a chunk, exactly one, or one height past it
+# the rows of the bundled rebel1-replay: idle up to the halt at 7,684,492,
+# the halt row, then the recommitted height and the idle blocks after it
+REBEL1_RUNS = [(7_559_601, 7_684_491, 160_000_000_000, 0, 0, 0),
+               (7_684_492, 7_684_492, 160_000_000_000, 0, 0, 1),
+               (7_684_492, 7_684_600, 160_000_000_000, 0, 0, 0)]
+
+
+# a run starts at 0 or just below a digit-count change, a century, a chunk
+# multiple or rebel1's halt; it is shorter than a century, one century long
+# or about one past it, two centuries, or about a chunk long
 _starts = st.builds(lambda pivot, back: max(0, pivot - back),
-                    st.sampled_from([0, 10, 100, 10_000, CHUNK_HEIGHTS, 10**7]),
+                    st.sampled_from([0, 10, 100, 10_000, CHUNK_HEIGHTS, 10**7,
+                                     7_684_400, 10**9]),
                     st.integers(0, 12))
-_lengths = st.integers(1, 40) | st.sampled_from([CHUNK_HEIGHTS - 1, CHUNK_HEIGHTS,
-                                                 CHUNK_HEIGHTS + 1])
+_lengths = st.integers(1, 40) | st.sampled_from([99, 100, 101, 200, CHUNK_HEIGHTS - 1,
+                                                 CHUNK_HEIGHTS, CHUNK_HEIGHTS + 1])
 _amounts = st.integers(0, 10**6) | st.integers(0, 10**40)
 
 
@@ -145,6 +154,10 @@ def _run_lists(draw):
                                     (CHUNK_HEIGHTS, 2 * CHUNK_HEIGHTS, 7, 8, 9, 10, 11, 12, 1)]))
 @example(runs=(["uluna"], [(9_995, 10_005 + CHUNK_HEIGHTS, 10**30, 0, 7, 0),
                            (5, 120, 1, 2, 3, 1)]))
+@example(runs=(["uluna"], [(0, 150, 1, 2, 3, 0)]))            # from 0 across 100
+@example(runs=(["uluna"], [(7_684_400, 7_684_499, 1, 2, 3, 0)]))  # x00 to x99
+@example(runs=(["uluna"], [(7_684_399, 7_684_400, 1, 2, 3, 0)]))  # x99 to (x+1)00
+@example(runs=(["uluna"], REBEL1_RUNS))
 def test_csv_from_drawn_runs_matches_csv_writer(runs, tmp_path_factory):
     denoms, rows = runs
     path = tmp_path_factory.mktemp("csv") / CSV_NAME
@@ -153,18 +166,20 @@ def test_csv_from_drawn_runs_matches_csv_writer(runs, tmp_path_factory):
 
 
 def test_writing_a_long_run_holds_bounded_memory(tmp_path):
-    # one run of 300,000 heights is 12.8 MB of text, all of it held by a whole-run join
-    result = SimpleNamespace(denoms=["uluna"],
-                             rows=[(1, 300_000, 6_543_210_987_654, 123_456_789_012, 98_765, 0)])
+    # one run of 300,000 heights is 12.8 MB of text or more, all of it held
+    # by a whole-run join; the second run has rebel1's 7-digit heights
     path = tmp_path / CSV_NAME
-    tracemalloc.start()
-    try:
-        write_block_csv(str(path), result)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert path.stat().st_size > 10 * 10**6
-    assert peak < 2**20
+    for first in (1, 7_559_601):
+        result = SimpleNamespace(denoms=["uluna"], rows=[
+            (first, first + 299_999, 6_543_210_987_654, 123_456_789_012, 98_765, 0)])
+        tracemalloc.start()
+        try:
+            write_block_csv(str(path), result)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 10 * 10**6
+        assert peak < 2**20
 
 
 def test_idle_tail_adds_no_rows(monkeypatch):
