@@ -6,14 +6,15 @@ denomination in sorted order the total supply, cumulative burn, and
 community-pool balance, then the halt flag. The CSV is written from the
 run's height runs `(first, last, *values)` (see `simulator`). A run's values
 are formatted once, into the row tail `,v1,...,vn\r\n` that follows every one
-of its heights, and its heights are joined with that tail `CHUNK_HEIGHTS` at
-a time. So a long run costs one format plus a C-level join per chunk, and the
-writer holds at most one chunk's text however long the run is. The bytes are
-those `csv.writer` writes for the per-height rows: the values are ints, which
-it writes as `str` does, and it still writes the header, whose denoms may
-need quoting. The summary carries final figures with every amount rendered as
-a decimal string, so values beyond 53-bit float safety survive any JSON
-reader.
+of its heights. A whole century of heights, `c00` to `c99` with `c >= 1`,
+is one C-level join of the prefix `c` and the 100 two-digit suffixes; other
+heights are turned into text one by one. A write takes at most
+`CHUNK_HEIGHTS` heights, so the writer holds one chunk's text however long
+the run is. The bytes are those `csv.writer` writes for the per-height rows:
+the values are ints, which it writes as `str` does, and it still writes the
+header, whose denoms may need quoting. The summary carries final figures
+with every amount rendered as a decimal string, so values beyond 53-bit
+float safety survive any JSON reader.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .state import state_hash
 
 CSV_NAME = "blocks.csv"
 SUMMARY_NAME = "summary.json"
-CHUNK_HEIGHTS = 4000   # heights a write of `write_block_csv`, whole centuries
+CHUNK_HEIGHTS = 4000   # most heights a write; a multiple of 100, so no chunk splits a century
 _SUFFIXES = [f"{i:02d}" for i in range(100)]
 
 
