@@ -2,14 +2,15 @@
 
 Blocks are produced one height at a time. When the active validator set runs
 more than one software version and a block carries a version-sensitive
-transaction, the block is evaluated once per version, each as a journaled
-branch of the live state; versions whose per-tx results and resulting state
-hash match form an agreement class, and the block commits only if one class
-controls at least 2/3 of the voting power. Otherwise the chain halts at that
-height with the live state back at its pre-tx base. A halt is recoverable:
-pending upgrade events (wall-clock operator actions) are consumed one at a
-time and the halted height is re-processed until a class reaches 2/3 or
-nothing is left to upgrade.
+transaction, the block is evaluated once per set of staking rules among the
+versions, each as a journaled branch of the live state; the versions whose
+per-tx results match form an agreement class (equal results make equal
+writes: a version only decides whether a msg is refused), and the block
+commits only if one class controls at least 2/3 of the voting power.
+Otherwise the chain halts at that height with the live state back at its
+pre-tx base. A halt is recoverable: pending upgrade events (wall-clock
+operator actions) are consumed one at a time and the halted height is
+re-processed until a class reaches 2/3 or nothing is left to upgrade.
 
 The two version behaviors differ only in staking-message gating: the patch
 version rejects delegate/create-validator above the upgrade height forever,
@@ -18,8 +19,7 @@ delegation power cap inside the protect window (`staking.version_rules`).
 Everything else -- fee admission, tax burning, transfers, governance -- is
 version-independent, so a block is evaluated once, whatever the version mix,
 when it has no delegate or create-validator msg at any exec depth or when
-every version runs the same rules at its height: versions with equal rules
-give equal results and equal states, one class holding all the power.
+every version runs the same rules at its height.
 
 Scenario events at a height run before that block's transactions, in
 declaration order; `submit-tx` events are included at exactly their height,
@@ -437,11 +437,14 @@ class Chain:
 
         if pending:
             activity = True
-            versions = sorted(v for v, p in version_power.items() if p)
-            if len(versions) > 1 and self._rules_differ(height, versions) \
-                    and any(_version_sensitive(p.tx.msgs) for p in pending):
+            groups: dict = {}   # staking rules -> the powered versions running them
+            for v in sorted(v for v, p in version_power.items() if p):
+                rules = staking_mod.version_rules(state.staking.gates, height, v)
+                groups.setdefault(rules, []).append(v)
+            groups = list(groups.values())
+            if len(groups) > 1 and any(_version_sensitive(p.tx.msgs) for p in pending):
                 tx_results, compatible = self._apply_per_version(
-                    pending, height, versions, version_power, total_power)
+                    pending, height, groups, version_power, total_power)
                 if compatible < TWO_THIRDS:
                     state.halted = True
                     log.warning(
@@ -450,7 +453,7 @@ class Chain:
                     )
                     return ConsensusOutcome(status=HALTED, height=height)
             else:
-                ver = versions[0] if versions else staking_mod.V21
+                ver = groups[0][0] if groups else staking_mod.V21
                 tx_results = apply_txs(state, pending, height, ver)
             state.mempool = [p for p in state.mempool if p.inclusion_height > height]
 
@@ -502,45 +505,38 @@ class Chain:
             self.tx_log[height] = tx_results
         return ConsensusOutcome(status=COMMITTED, height=height, proposer=proposer)
 
-    def _rules_differ(self, height: int, versions: list) -> bool:
-        """True when two of the versions run different staking rules at `height`."""
-        gates = self.state.staking.gates
-        return len({staking_mod.version_rules(gates, height, v) for v in versions}) > 1
-
-    def _apply_per_version(self, pending: list, height: int, versions: list,
+    def _apply_per_version(self, pending: list, height: int, groups: list,
                            version_power: dict, total_power: int):
-        """Evaluate the block's txs once per version; returns (results, compatible).
+        """Evaluate the block's txs once per rule group; returns (results, compatible).
 
-        Each version runs as a branch of the live state and is discarded after
-        its (results, state hash) signature is taken, except the last, which
-        stays open until the winner is known: it is kept when it belongs to
-        the winning class, otherwise the winner is re-applied. When no class
-        reaches 2/3 the live state is left at its pre-tx base.
+        Each group of versions runs as a branch of the live state, acting as
+        its first version, and joins the class of its per-tx results. Every
+        branch is discarded except the last, which stays open until the
+        winner is known: it is kept when it belongs to the winning class,
+        otherwise the winner is re-applied. When no class reaches 2/3 the
+        live state is left at its pre-tx base.
         """
         state = self.state
         journal = state.journal
-        classes: dict = {}  # (results, state hash) -> versions
-        for ver in versions:
+        classes: dict = {}  # results -> versions
+        for group in groups:
             base = journal.begin()
-            results = apply_txs(state, pending, height, ver)
-            classes.setdefault((tuple(results), state_hash(state)), []).append(ver)
-            if ver != versions[-1]:
+            results = tuple(apply_txs(state, pending, height, group[0]))
+            classes.setdefault(results, []).extend(group)
+            if group is not groups[-1]:
                 journal.rollback(base)
                 journal.commit()
-        best_sig = max(
-            classes,
-            key=lambda s: (sum(version_power[v] for v in classes[s]), s),
-        )
-        winners = classes[best_sig]
+        best = max(classes, key=lambda r: (sum(version_power[v] for v in classes[r]), r))
+        winners = classes[best]
         compatible = Fraction(sum(version_power[v] for v in winners), total_power)
-        if compatible >= TWO_THIRDS and versions[-1] in winners:
+        if compatible >= TWO_THIRDS and groups[-1][0] in winners:
             journal.commit()
         else:
             journal.rollback(base)
             journal.commit()
             if compatible >= TWO_THIRDS:
                 apply_txs(state, pending, height, winners[0])
-        return list(best_sig[0]), compatible
+        return list(best), compatible
 
     def _schedule_changes(self, prop, height: int) -> None:
         state = self.state

@@ -17,8 +17,8 @@ integer cross-multiplication; an optional compatibility mode reproduces the
 original float32 comparison instead.
 
 `version_rules` makes these three version-dependent decisions at a height;
-the message handlers decide from it, and the block producer compares it
-across versions to tell whether they can disagree about a block at all.
+the message handlers decide from it, and the block producer evaluates a
+block once per distinct rule set among the versions.
 """
 
 from __future__ import annotations
@@ -242,8 +242,9 @@ def check_power_cap(
 class VersionRules(NamedTuple):
     """Every staking decision a software version makes at one height.
 
-    These are the only decisions that depend on the acting version, so two
-    versions with equal rules at a height give equal results on any txs.
+    These are the only decisions that depend on the acting version, and each
+    field only decides whether a msg is refused, so two versions with equal
+    rules at a height make equal results and equal writes on any txs.
     """
 
     delegate_blocked: bool
@@ -299,14 +300,16 @@ def delegate(
 ) -> None:
     """Bond `amount` from the delegator's account to a validator.
 
-    Check order mirrors the message handler: height gate first, then
-    validator lookup, then the power cap, then funds.
+    Check order mirrors the message handler: height gate, bond denom, a
+    nonzero amount, validator lookup, the power cap, then funds.
     """
     rules = version_rules(st.gates, height, acting_version)
     if rules.delegate_blocked:
         raise MsgNotSupported(f"delegate disabled at height {height}")
     if amount.denom != st.params.bond_denom:
         raise InvalidCoin(f"delegation must use bond denom {st.params.bond_denom}")
+    if amount.amount == 0:
+        raise InvalidCoin("cannot delegate zero")
     val = st.validators.get(validator)
     if val is None:
         raise UnknownValidator(validator)

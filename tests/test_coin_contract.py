@@ -7,6 +7,8 @@ The edges where an outside value becomes a coin set (a `Coin` of 0, a
 genesis balance of 0), and a fee too small to split, must leave `luncsim run`'s outputs as they were before
 the internal re-checks were deleted: the exit code, `tx_results` and the
 final state hash below were taken from the engine that still re-checked.
+One case changed on purpose since: a delegation of 0 is now refused with
+`InvalidCoin`, as an undelegation of 0 is, so it stores no zero delegation.
 """
 
 import json
@@ -87,33 +89,36 @@ def _swap_send(denom):
 _SEND = {"kind": "send", "sender": "alice", "recipient": "bob",
          "coins": [{"denom": "uluna", "amount": "100"}]}
 
-EDGES = {
-    # carol holds no uluna: a debit of {"uluna": 0} would find no entry to take from
+OK = ["ok", ""]
+
+EDGES = {   # case -> (genesis, scenario, the tx's result, final state hash)
+    # a delegation of 0 is refused before any coin moves: carol holds no
+    # uluna, so a debit of {"uluna": 0} would find no entry to take from
     "delegate-0-from-an-account-without-the-denom": (GENESIS, _one_tx(
         {"kind": "delegate", "delegator": "carol", "validator": "val1",
-         "amount": {"denom": "uluna", "amount": "0"}}),
-        "4008425321334b4ca71ed4f0a8bf6dbf22a5f2f436511feafc1e42eb3dd742f3"),
+         "amount": {"denom": "uluna", "amount": "0"}}), ["failed", "InvalidCoin"],
+        "37d68d29942d67399fc97b98ec9576b9be7637238f95b8b0c5e98aadd62eb443"),
     # a credit of {"uluna": 0} would plant a zero entry in bob's balance
-    "swap-send-0-uluna": (GENESIS, _swap_send("uluna"),
+    "swap-send-0-uluna": (GENESIS, _swap_send("uluna"), OK,
                           "37d68d29942d67399fc97b98ec9576b9be7637238f95b8b0c5e98aadd62eb443"),
     # alice holds no ukrw
-    "swap-send-0-ukrw": (GENESIS, _swap_send("ukrw"),
+    "swap-send-0-ukrw": (GENESIS, _swap_send("ukrw"), OK,
                          "37d68d29942d67399fc97b98ec9576b9be7637238f95b8b0c5e98aadd62eb443"),
     # block 3 pays no fee, so the split must not see the collector's genesis zero
     "genesis-fee-collector-0": (
         dict(GENESIS, module_accounts=[{"module": "FeeCollector", "denom": "uluna",
                                         "amount": "0"}]),
-        _one_tx(_SEND),
+        _one_tx(_SEND), OK,
         "dbfd43388657f7651679e6e1a5b48efbf20ecd3f482ab2dbbd9c65941db9985e"),
     # a fee of 1 is all dust: nothing may move to the Distribution module
-    "fee-of-1": (GENESIS, _one_tx(_SEND, declared_fee=[{"denom": "uluna", "amount": "1"}]),
+    "fee-of-1": (GENESIS, _one_tx(_SEND, declared_fee=[{"denom": "uluna", "amount": "1"}]), OK,
                  "0a6b4e8bd7d271a9b6e22e0f8757a62044335bd341a6fd79d58a7b55efcc08e4"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(EDGES))
 def test_edge_values_become_valid_coin_sets(case, tmp_path, capsys, monkeypatch):
-    genesis, scenario, want_hash = EDGES[case]
+    genesis, scenario, want_result, want_hash = EDGES[case]
     build = cli.build_state
     monkeypatch.setattr(cli, "build_state", lambda cfg: checked(build(cfg)))
     split = dist_mod.allocate_block_fees
@@ -127,5 +132,5 @@ def test_edge_values_become_valid_coin_sets(case, tmp_path, capsys, monkeypatch)
             "--scenario", _write(tmp_path, "s.json", scenario)]
     assert cli.main(argv) == 0
     summary = json.loads(capsys.readouterr().out)
-    assert summary["tx_results"] == {"3": [["ok", ""]]}
+    assert summary["tx_results"] == {"3": [want_result]}
     assert summary["final_state_hash"] == want_hash

@@ -213,11 +213,12 @@ def test_journal_is_empty_after_every_tx_and_every_block(val2_version, monkeypat
         assert seen == [(0, 0)] * (2 * 4)
 
 
-def _version_oracle(state, pending, versions, power):
-    """The old per-version scheme: a deep copy per version, the best class wins."""
+def _version_oracle(state, pending, versions, power, height=HEIGHT):
+    """The old per-version scheme: a deep copy per version, each signed with
+    its (results, state hash); the best class wins."""
     classes = {}
     for ver in versions:
-        branch, results = oracle_apply_txs(copy.deepcopy(state), pending, HEIGHT, ver)
+        branch, results = oracle_apply_txs(copy.deepcopy(state), pending, height, ver)
         classes.setdefault((tuple(results), state_hash(branch)), []).append(ver)
     best = max(classes, key=lambda s: (sum(power[v] for v in classes[s]), s))
     compatible = Fraction(sum(power[v] for v in classes[best]), sum(power.values()))
@@ -252,7 +253,7 @@ def test_version_branches_match_the_deepcopy_oracle():
         want_results, want_compatible, want_hash = _version_oracle(
             state, pending, ["v20", "v21"], power)
         results, compatible = chain._apply_per_version(
-            pending, HEIGHT, ["v20", "v21"], power, v20 + v21)
+            pending, HEIGHT, [["v20"], ["v21"]], power, v20 + v21)
         assert (results, compatible) == (want_results, want_compatible)
         if kept is None:        # a halt leaves the exact pre-tx base
             assert compatible < Fraction(2, 3)

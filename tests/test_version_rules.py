@@ -1,13 +1,15 @@
 """Version rules: the one home of every version-dependent staking decision.
 
 `staking.version_rules` is what `delegate` and `create_validator` decide
-from, and what `Chain._produce_block` compares to skip per-version
-evaluation. The property here is that the shortcut is exact: whenever every
-version runs the same rules at a height, evaluating the block per version
-gives one agreement class holding all the power, with the results and the
-state of a single evaluation.
+from, and what `Chain._produce_block` groups the versions by: a block is
+evaluated once per rule set, and an agreement class is signed with the
+per-tx results alone. The properties here are that both shortcuts are
+exact: versions with equal rules give equal results and equal states, and
+versions with equal results leave equal states, so the classes are the
+ones a (results, state hash) signature over every version would give.
 """
 
+import copy
 from fractions import Fraction
 from itertools import product
 
@@ -31,6 +33,7 @@ from luncsim.staking import (
 from luncsim.state import PendingTx, state_hash
 
 from helpers import fresh_bank, read_tx, staking_fixture
+from test_journal import _idle, _version_oracle
 
 M = 1_000_000
 VERSIONS = ("v20", "v21", "v22")   # v22 is unknown to the engine: successor rules
@@ -58,9 +61,13 @@ def _delegate(delegator, validator, amount):
 
 
 def _msg(validators):
-    delegation = st.builds(_delegate, st.sampled_from(ACCOUNTS),
-                           st.sampled_from(validators + ["nobody"]),
-                           st.sampled_from((1 * M, 3 * M, 40 * M)))
+    delegator = st.sampled_from(ACCOUNTS + tuple(validators))
+    amount = st.sampled_from((0, 1 * M, 3 * M, 40 * M))
+    delegation = st.builds(_delegate, delegator,
+                           st.sampled_from(validators + ["nobody"]), amount)
+    undelegation = st.builds(
+        lambda d, v, n: dict(_delegate(d, v, n), kind="undelegate"),
+        delegator, st.sampled_from(validators), amount)
     send = st.builds(
         lambda s, r, n: {"kind": "send", "sender": s, "recipient": r,
                          "coins": [{"denom": "uluna", "amount": str(n)}]},
@@ -69,10 +76,25 @@ def _msg(validators):
     new_validator = st.builds(
         lambda op, ver: {"kind": "create-validator", "operator": op, "version": ver},
         st.sampled_from(validators + ["val-new"]), st.sampled_from(VERSIONS))
+    vote = st.builds(
+        lambda v, o: {"kind": "vote", "voter": v, "proposal_id": 1, "option": o},
+        delegator, st.sampled_from(("yes", "no")))
+    proposal = st.builds(
+        lambda p: {"kind": "submit-proposal", "proposer": "alice", "proposal": p},
+        st.sampled_from(({"kind": "text", "title": "t"},
+                         {"kind": "param-change", "changes": [
+                             {"subspace": "staking", "key": "UnbondingPeriodBlocks",
+                              "value": 50}]})))
+    contract = st.builds(
+        lambda s, n: {"kind": "instantiate-contract", "sender": s,
+                      "funds": [{"denom": "uluna", "amount": str(n)}]},
+        st.sampled_from(ACCOUNTS), st.sampled_from((1, 60 * M)))
     wrapped = st.builds(
         lambda s, msgs: {"kind": "exec", "sender": s, "msgs": msgs},
-        st.sampled_from(ACCOUNTS), st.lists(delegation, min_size=1, max_size=2))
-    return st.one_of(send, delegation, new_validator, wrapped)
+        st.sampled_from(ACCOUNTS),
+        st.lists(st.one_of(delegation, new_validator), min_size=1, max_size=2))
+    return st.one_of(send, delegation, undelegation, new_validator, vote, proposal,
+                     contract, wrapped)
 
 
 @st.composite
@@ -108,26 +130,87 @@ def _chain(genesis, height):
                                                        "end_height": height}))
 
 
+def _rule_groups(gates, height, versions):
+    """The versions grouped by the rules they run at `height`, as the block
+    producer groups them."""
+    groups = {}
+    for v in sorted(versions):
+        groups.setdefault(version_rules(gates, height, v), []).append(v)
+    return list(groups.values())
+
+
+def _signatures(state, txs, height, versions):
+    """Each version's (results, state hash), evaluated on its own deep copy."""
+    signatures = {}
+    for v in versions:
+        branch = copy.deepcopy(state)
+        results = tuple(apply_txs(branch, _pending(txs, height), height, v))
+        signatures[v] = (results, state_hash(branch))
+    return signatures
+
+
 @settings(max_examples=300, deadline=None)
 @given(blocks())
-def test_versions_with_equal_rules_form_one_class(block):
+def test_results_alone_sign_an_agreement_class(block):
     genesis, height, txs = block
     chain = _chain(genesis, height)
-    gates = chain.state.staking.gates
-    version_power = chain._version_groups()
-    versions = sorted(version_power)
-    agree = len({version_rules(gates, height, v) for v in versions}) == 1
-    assert chain._rules_differ(height, versions) == (not agree)
-    event("rules agree" if agree else "rules differ")
-    if not agree:
-        return
-    results, compatible = chain._apply_per_version(
-        _pending(txs, height), height, versions, version_power,
-        sum(version_power.values()))
-    assert compatible == 1
-    single = build_state(genesis)
-    assert results == apply_txs(single, _pending(txs, height), height, versions[0])
-    assert state_hash(chain.state) == state_hash(single)
+    state = chain.state
+    power = chain._version_groups()
+    versions = sorted(power)
+    signatures = _signatures(state, txs, height, versions)
+    groups = _rule_groups(state.staking.gates, height, versions)
+    event(f"{len(groups)} rule group(s)")
+    # versions with equal rules give equal results and equal states
+    for group in groups:
+        assert len({signatures[v] for v in group}) == 1
+    # equal results imply equal states, so the results split the versions
+    # exactly as (results, state hash) does; the converse need not hold: two
+    # different refusals of one tx both leave only its ante writes
+    assert len({results for results, _ in signatures.values()}) == len(set(signatures.values()))
+    if len({h for _, h in signatures.values()}) < len(set(signatures.values())):
+        event("different results, equal states")
+
+    base = state_hash(state)
+    pending = _pending(txs, height)
+    want_results, want_compatible, want_hash = _version_oracle(
+        state, pending, versions, power, height)
+    results, compatible = chain._apply_per_version(pending, height, groups, power,
+                                                   sum(power.values()))
+    assert (results, compatible) == (want_results, want_compatible)
+    assert state_hash(state) == (want_hash if compatible >= Fraction(2, 3) else base)
+    assert _idle(state.journal)
+
+
+def test_versions_with_equal_rules_are_evaluated_once(monkeypatch):
+    # v21 and v22 run the successor's rules: past the delegate revert they
+    # accept the delegation that v20 refuses, and hold 4/5 of the power
+    genesis = {
+        "chain_id": "rules", "genesis_height": 0,
+        "accounts": [{"address": "alice", "denom": "uluna", "amount": str(50 * M)}],
+        "staking": {"gates": {"staking_power_upgrade_height": 1,
+                              "delegate_power_revert_height": 2,
+                              "staking_power_revert_height": 10**6,
+                              "protect_power_height": 2},
+                    "validators": [{"address": "val1", "tokens": str(10 * M),
+                                    "version": "v20"},
+                                   {"address": "val2", "tokens": str(20 * M),
+                                    "version": "v21"},
+                                   {"address": "val3", "tokens": str(20 * M),
+                                    "version": "v22"}]},
+        "ante": {"gas_price": "0"},
+    }
+    chain = Chain(build_state(genesis), parse_scenario({
+        "name": "rules", "end_height": 3, "strict_halt": True, "events": [
+            {"at_height": 3, "action": "submit-tx", "tx": {
+                "fee_payer": "alice", "msgs": [_delegate("alice", "val1", M)]}}]}))
+    calls = []
+    original = simulator.apply_txs
+    monkeypatch.setattr(simulator, "apply_txs",
+                        lambda *args: calls.append(args[3]) or original(*args))
+    result = chain.run()
+    assert calls == ["v20", "v21"]
+    assert result.halt_heights == [] and result.tx_log[3] == [("ok", "")]
+    assert result.final_state.staking.validators["val1"].tokens == 11 * M
 
 
 @settings(max_examples=300, deadline=None)
@@ -198,6 +281,5 @@ def test_rules_differing_in_any_field_force_per_version_evaluation(field, monkey
         "name": "rules", "end_height": 3, "strict_halt": True, "events": [
             {"at_height": 3, "action": "submit-tx", "tx": {
                 "fee_payer": "alice", "msgs": [_delegate("alice", "val1", M)]}}]}))
-    assert chain._rules_differ(3, ["v20", "v21"])
     chain.run()
     assert sorted(calls) == ["v20", "v21"]
