@@ -123,9 +123,8 @@ def build_state(cfg: dict) -> ChainState:
     staking_state = StakingState(gates=gates, params=params)
 
     bank = Bank()
-    columns: dict = {}
-    totals: dict = {}
-    try:   # one pass, converting inline: `integer` is called only to raise its error
+    columns: dict = {}   # {denom: {address: amount}}; the bank sums each for its supply
+    try:   # one pass, one column write an entry: `integer` is called only to raise its error
         for entry in read(cfg, "accounts", list, []):
             address, denom, amount = entry["address"], entry["denom"], entry["amount"]
             if type(amount) is str:
@@ -138,14 +137,15 @@ def build_state(cfg: dict) -> ChainState:
                 integer(entry["amount"], "accounts[].amount", low=0)
                 key = "address" if type(address) is not str else "denom"
                 raise ParseError(f"accounts[].{key} must be a string, got {entry[key]!r}")
-            col = columns.setdefault(denom, {})
-            col[address] = col.get(address, 0) + amount
-            totals[denom] = totals.get(denom, 0) + amount
+            col = columns.get(denom)
+            if col is None:
+                col = columns[denom] = {}
+            col[address] = col[address] + amount if address in col else amount
     except KeyError as exc:
         raise ParseError(f"account entry missing {exc}") from exc
     except TypeError as exc:   # an entry that is no mapping
         raise ParseError(f"accounts[] entry must be a mapping, got {entry!r}") from exc
-    bank.genesis_credit_accounts(columns, totals)
+    bank.genesis_credit_accounts(columns)
     for entry in read(cfg, "module_accounts", list, []):
         module = read(entry, "module", str, name="module_accounts[].module")
         try:

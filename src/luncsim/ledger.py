@@ -87,12 +87,12 @@ class Bank:
         self._bump(self.supply.totals, denom, amount)
         self._bump(self.supply.genesis_totals, denom, amount)
 
-    def genesis_credit_accounts(self, columns: dict, totals: dict) -> None:
+    def genesis_credit_accounts(self, columns: dict) -> None:
         """Adopt {denom: {address: amount >= 0}} as the accounts of a bank with
-        none; `totals` holds each column's sum."""
+        none; each denom's supply grows by its column's sum."""
         self.accounts = columns
-        for d, a in totals.items():
-            self._bump(self.supply.totals, d, a)
+        for d, col in columns.items():
+            self._bump(self.supply.totals, d, a := sum(col.values()))
             self._bump(self.supply.genesis_totals, d, a)
 
     def genesis_credit_module(self, name: str, denom: str, amount: int) -> None:

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 from luncsim.ante import AnteConfig
 from luncsim.distribution import DistributionParams, DistributionState
+from luncsim.errors import ParseError
 from luncsim.governance import GovernanceState, GovParams
+from luncsim.inputs import integer
 from luncsim.ledger import Bank
 from luncsim.scenario import parse_event
 from luncsim.staking import HeightGates, StakingParams, StakingState, genesis_bond
@@ -88,3 +90,26 @@ def blob_hash(state: ChainState) -> str:
     canonical form, with sorted keys and escaped to ASCII."""
     blob = json.dumps(full_canonical(state), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def read_accounts_one_at_a_time(entries: list) -> tuple:
+    """`build_state`'s account pass as an entry-at-a-time reader: the
+    `{denom: {address: amount}}` columns and each denom's total, or the
+    ParseError of the first bad entry."""
+    columns: dict = {}
+    totals: dict = {}
+    for entry in entries:
+        try:
+            address, denom, amount = entry["address"], entry["denom"], entry["amount"]
+        except KeyError as exc:
+            raise ParseError(f"account entry missing {exc}") from exc
+        except TypeError as exc:
+            raise ParseError(f"accounts[] entry must be a mapping, got {entry!r}") from exc
+        amount = integer(amount, "accounts[].amount", low=0)
+        for key, value in (("address", address), ("denom", denom)):
+            if type(value) is not str:
+                raise ParseError(f"accounts[].{key} must be a string, got {value!r}")
+        column = columns.setdefault(denom, {})
+        column[address] = column.get(address, 0) + amount
+        totals[denom] = totals.get(denom, 0) + amount
+    return columns, totals
