@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from luncsim.errors import (
@@ -5,6 +7,7 @@ from luncsim.errors import (
     StillInVoting,
     UnknownProposer,
 )
+from luncsim.genesis import build_state
 from luncsim.governance import (
     ABSTAIN,
     NO,
@@ -19,6 +22,8 @@ from luncsim.governance import (
     submit_proposal,
     tally,
 )
+from luncsim.scenario import parse_scenario
+from luncsim.simulator import Chain
 
 from helpers import staking_fixture
 
@@ -187,3 +192,80 @@ def test_lone_tax_policy_flag():
     ])
     assert lone_tax_policy_warning(lone)
     assert not lone_tax_policy_warning(both)
+
+
+# -- activation through the chain: each key sets the value read at submission --
+
+_POLICY = {"cap": {"denom": "uusd", "amount": "0"}, "change_rate_max": "0"}
+# (subspace, key, raw value, the parameter it sets, the value read from the raw one);
+# genesis sets the tax rate to 1/2, and the reward weight starts at 1
+_ACTIVATIONS = [
+    ("distribution", "communitytax", "0.5",
+     lambda s: s.distribution.params.community_tax, Fraction(1, 2)),
+    ("distribution", "baseproposerreward", "1/3",
+     lambda s: s.distribution.params.base_proposer_reward, Fraction(1, 3)),
+    ("distribution", "bonusproposerreward", 0.25,
+     lambda s: s.distribution.params.bonus_proposer_reward, Fraction(1, 4)),
+    ("staking", "UnbondingPeriodBlocks", "5",
+     lambda s: s.staking.params.unbonding_period_blocks, 5),
+    ("staking", "MaxDelegationPowerFraction", "1/3",
+     lambda s: s.staking.params.max_delegation_power_fraction, Fraction(1, 3)),
+    ("transfer", "SendEnabled", True, lambda s: s.transfer_params["SendEnabled"], True),
+    ("transfer", "ReceiveEnabled", True, lambda s: s.transfer_params["ReceiveEnabled"], True),
+    # the active rate snaps into the new window
+    ("treasury", "TaxPolicy", {"rate_min": "0.01", "rate_max": "0.02", **_POLICY},
+     lambda s: (s.treasury.tax_policy.rate_max, s.treasury.tax_rate),
+     (Fraction(1, 50), Fraction(1, 50))),
+    ("treasury", "RewardPolicy", {"rate_min": "0", "rate_max": "1/3", **_POLICY},
+     lambda s: (s.treasury.reward_policy.rate_max, s.treasury.reward_weight),
+     (Fraction(1, 3), Fraction(1, 3))),
+]
+EPOCH = 10
+TALLY_HEIGHT = 6   # submitted at 1, five blocks of voting
+
+
+def _passing_chain(changes):
+    genesis = {"staking": {"validators": [{"address": "val1", "tokens": str(10 * M)}]},
+               "treasury": {"tax_rate": "1/2", "epoch_length_blocks": EPOCH},
+               "governance": {"voting_period_blocks": 5}}
+    scenario = {"name": "activation", "end_height": 2 * EPOCH, "events": [
+        {"at_height": 1, "action": "submit-proposal",
+         "proposal": {"kind": "param-change", "changes": changes}},
+        {"at_height": 2, "action": "cast-vote", "voter": "val1", "proposal_id": 1,
+         "option": "yes"}]}
+    return Chain(build_state(genesis), parse_scenario(scenario))
+
+
+def _step_to(chain, height):
+    while chain.state.height < height:
+        chain.step()
+
+
+@pytest.mark.parametrize("subspace,key,raw,param,expected", _ACTIVATIONS,
+                         ids=[a[1] for a in _ACTIVATIONS])
+def test_each_key_activates_the_value_read_from_its_input(subspace, key, raw, param,
+                                                          expected):
+    chain = _passing_chain([{"subspace": subspace, "key": key, "value": raw}])
+    before = param(chain.state)
+    # a treasury policy waits for the epoch boundary, every other key for the next block
+    due = EPOCH if subspace == "treasury" else TALLY_HEIGHT + 1
+    _step_to(chain, due - 1)
+    assert chain.state.governance.proposals[1].status == "passed"
+    assert param(chain.state) == before != expected
+    chain.step()
+    got = param(chain.state)
+    assert got == expected
+    assert type(got) is type(expected)
+    assert chain.state.governance.proposals[1].status == "applied"
+
+
+def test_a_fee_split_above_one_warns_and_leaves_the_params():
+    chain = _passing_chain([{"subspace": "distribution", "key": "communitytax",
+                             "value": "0.96"}])
+    before = chain.state.distribution.params
+    _step_to(chain, TALLY_HEIGHT + 1)
+    assert chain.state.distribution.params == before
+    assert chain.state.warnings == [
+        "proposal 1: change distribution/communitytax failed to apply: "
+        "fee split fractions must not exceed 1 in total"]
+    assert chain.state.governance.proposals[1].status == "applied"
