@@ -64,7 +64,7 @@ from .staking import (
     mainnet_gates,
 )
 from .state import ChainState
-from .treasury import PolicyConstraints, TreasuryState
+from .treasury import PolicyConstraints, TreasuryState, set_policy
 
 
 def _exempt_denoms(value, name: str) -> frozenset:
@@ -168,12 +168,9 @@ def build_state(cfg: dict) -> ChainState:
     tre_cfg = read(cfg, "treasury", dict, {})
     tre = TreasuryState(**section(tre_cfg, "treasury.", _TREASURY))
     try:
-        if "tax_policy" in tre_cfg:
-            tre.tax_policy = PolicyConstraints.from_config(tre_cfg["tax_policy"])
-            tre.tax_rate = tre.tax_policy.clamp(tre.tax_rate)
-        if "reward_policy" in tre_cfg:
-            tre.reward_policy = PolicyConstraints.from_config(tre_cfg["reward_policy"])
-            tre.reward_weight = tre.reward_policy.clamp(tre.reward_weight)
+        for key, name in (("TaxPolicy", "tax_policy"), ("RewardPolicy", "reward_policy")):
+            if name in tre_cfg:
+                set_policy(tre, key, PolicyConstraints.from_config(tre_cfg[name]))
     except MalformedProposal as exc:
         raise ParseError(f"bad treasury policy: {exc}") from exc
 

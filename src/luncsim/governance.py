@@ -1,4 +1,4 @@
-"""Proposals, voting, tallying, and parameter-change scheduling.
+"""Proposals, voting, tallying, and the activation of passed parameter changes.
 
 A proposal is either plain text or a list of (subspace, key, value) changes.
 Voting runs for a fixed number of blocks; at the end the tally passes iff
@@ -6,18 +6,23 @@ turnout meets quorum, the yes share among yes/no/veto strictly exceeds the
 threshold, and the veto share stays below its limit, all in exact rationals
 with weights taken from each voter's bonded stake at tally time.
 
-Passed changes do not touch parameters directly: distribution, staking, and
-transfer changes activate at the next block, treasury policy changes queue
-for the next epoch boundary.
+Every governable parameter is a (subspace, key) in `PARAM_KEYS`, paired with
+the reader of its value, as Cosmos SDK's x/params registers a `ParamSetPair`.
+A change's value is read once, at submission, and activation sets the value
+read: once its proposal passes (`schedule_changes`), a distribution, staking
+or transfer change activates at the next block (`activate_block_changes`), a
+treasury policy at the next epoch boundary (`treasury.epoch_transition`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import logging
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
+from functools import partial
 
 from .errors import MalformedProposal, ParseError, StillInVoting
-from .inputs import fraction, integer, read
+from .inputs import flag, fraction, integer, read
 from .journal import Journal
 from . import staking as staking_mod
 from . import treasury as treasury_mod
@@ -36,13 +41,7 @@ VETO = "no-with-veto"
 ABSTAIN = "abstain"
 VOTE_OPTIONS = (YES, NO, VETO, ABSTAIN)
 
-# subspace -> keys a change may target
-PARAM_KEYS = {
-    "treasury": {"TaxPolicy", "RewardPolicy"},
-    "distribution": {"communitytax", "baseproposerreward", "bonusproposerreward"},
-    "transfer": {"SendEnabled", "ReceiveEnabled"},
-    "staking": {"UnbondingPeriodBlocks", "MaxDelegationPowerFraction"},
-}
+log = logging.getLogger("luncsim.governance")
 
 # About 24 hours of 7-second blocks at 8.571 blocks/minute.
 DEFAULT_VOTING_PERIOD_BLOCKS = 12_343
@@ -68,7 +67,8 @@ class GovParams:
 class ParamChange:
     subspace: str
     key: str
-    value: object
+    value: object   # as the proposal carried it: what `canonical` commits to
+    parsed: object = field(default=None, compare=False)   # `value` through its key's reader
 
     def canonical(self) -> dict:
         v = self.value
@@ -144,30 +144,36 @@ def power_fraction(value, name: str) -> Fraction:
     return cap
 
 
+# subspace -> {key -> the reader of a change's value}: every parameter a
+# proposal may change. A distribution or staking key names its params field
+# without underscores or case.
+PARAM_KEYS = {
+    "treasury": dict.fromkeys(("TaxPolicy", "RewardPolicy"),
+                              lambda value, _: treasury_mod.PolicyConstraints.from_config(value)),
+    "distribution": dict.fromkeys(("communitytax", "baseproposerreward", "bonusproposerreward"),
+                                  partial(fraction, low=0, high=1)),
+    "transfer": dict.fromkeys(("SendEnabled", "ReceiveEnabled"), flag),
+    "staking": {"UnbondingPeriodBlocks": partial(integer, low=1),
+                "MaxDelegationPowerFraction": power_fraction},
+}
+
+
 def _validate_change(raw: dict) -> ParamChange:
-    """One change of a param-change proposal; a bad one is a MalformedProposal."""
+    """One change of a param-change proposal, read by its key's reader; a bad
+    one is a MalformedProposal."""
     try:
         subspace = read(raw, "subspace", str)
         key = read(raw, "key", str)
         value = read(raw, "value")
-        if subspace not in PARAM_KEYS:
+        keys = PARAM_KEYS.get(subspace)
+        if keys is None:
             raise ParseError(f"unknown subspace {subspace!r}")
-        if key not in PARAM_KEYS[subspace]:
+        reader = keys.get(key)
+        if reader is None:
             raise ParseError(f"unknown key {key!r} for subspace {subspace!r}")
-        if subspace == "treasury":
-            # validates shape eagerly so a bad policy fails at submission
-            treasury_mod.PolicyConstraints.from_config(value)
-        elif subspace == "distribution":
-            fraction(value, key, 0, 1)
-        elif subspace == "transfer":
-            read(raw, "value", bool, name=key)
-        elif key == "UnbondingPeriodBlocks":
-            integer(value, key, low=1)
-        else:
-            power_fraction(value, key)
+        return ParamChange(subspace, key, value, reader(value, key))
     except ParseError as exc:
         raise MalformedProposal(str(exc)) from exc
-    return ParamChange(subspace=subspace, key=key, value=value)
 
 
 def read_proposal(raw: dict) -> dict:
@@ -260,3 +266,58 @@ def lone_tax_policy_warning(prop: Proposal) -> bool:
     loud warning: burns only recycle into rewards when both move together."""
     keys = {c.key for c in prop.changes if c.subspace == "treasury"}
     return "TaxPolicy" in keys and "RewardPolicy" not in keys
+
+
+def _warn(state, text: str) -> None:
+    state.warnings.append(text)
+    log.warning(text)
+
+
+def schedule_changes(state, prop: Proposal, height: int) -> None:
+    """Stage the changes of `prop`, which passed at `height`, on the ChainState
+    `state`: a treasury policy queues for the next epoch boundary, every other
+    change for the next block. A text proposal is applied at once."""
+    if prop.kind == TEXT:
+        prop.status = APPLIED
+        return
+    if lone_tax_policy_warning(prop):
+        _warn(state, f"proposal {prop.proposal_id}: TaxPolicy updated without RewardPolicy "
+                     f"in the same proposal; burned taxes will not recycle as intended")
+    for change in prop.changes:
+        if change.subspace == "treasury":
+            state.treasury.pending_policies.append((prop.proposal_id, change.key, change.parsed))
+        else:
+            state.pending_block_changes.append((height + 1, prop.proposal_id, change))
+        prop.pending_activations += 1
+
+
+def activate_block_changes(state, height: int) -> None:
+    """Set the parameters of the staged changes due at `height`. A change the
+    params refuse (distribution shares above 1 in total) is a warning."""
+    if not state.pending_block_changes:
+        return
+    due = [e for e in state.pending_block_changes if e[0] <= height]
+    if not due:
+        return
+    state.pending_block_changes = [e for e in state.pending_block_changes if e[0] > height]
+    for _, pid, change in due:
+        try:
+            if change.subspace == "transfer":
+                state.transfer_params[change.key] = change.parsed
+            else:
+                store = state.distribution if change.subspace == "distribution" else state.staking
+                names = {f.name.replace("_", ""): f.name for f in fields(store.params)}
+                store.params = replace(store.params,
+                                       **{names[change.key.lower()]: change.parsed})
+        except ValueError as exc:
+            _warn(state, f"proposal {pid}: change {change.subspace}/{change.key} "
+                         f"failed to apply: {exc}")
+        mark_activated(state, pid)
+
+
+def mark_activated(state, proposal_id: int) -> None:
+    """Count one staged change of the proposal as active; the last one applies it."""
+    prop = state.governance.proposals[proposal_id]
+    prop.pending_activations -= 1
+    if prop.pending_activations <= 0 and prop.status == PASSED:
+        prop.status = APPLIED

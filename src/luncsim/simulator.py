@@ -21,6 +21,10 @@ version-independent, so a block is evaluated once, whatever the version mix,
 when it has no delegate or create-validator msg at any exec depth or when
 every version runs the same rules at its height.
 
+Passed proposals act through `governance`, so `Chain` names no parameter: a
+block first runs `governance.activate_block_changes`, and a tally that
+passes runs `governance.schedule_changes`.
+
 Scenario events at a height run before that block's transactions, in
 declaration order; `submit-tx` events are included at exactly their height,
 while snipers submit through the mempool and land after the configured
@@ -52,7 +56,7 @@ height starts a new run.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 
@@ -70,11 +74,10 @@ from .errors import (
     SimError,
     UnknownValidator,
 )
-from .governance import PASSED, TEXT, VOTING
+from .governance import PASSED, VOTING
 from .ledger import COMMUNITY_POOL, FEE_COLLECTOR
 from .scenario import Scenario
 from .state import ChainState, PendingTx, SniperState, state_hash, verify_invariants
-from .treasury import PolicyConstraints
 
 log = logging.getLogger("luncsim.simulator")
 
@@ -270,14 +273,7 @@ class Chain:
         elif ev.action == "cast-vote":
             gov_mod.cast_vote(state.governance, p["voter"], p["proposal_id"], p["option"])
         elif ev.action == "sniper-arm":
-            state.snipers.append(SniperState(
-                target_height=p["target_height"],
-                delegator=p["delegator"],
-                validator=p["validator"],
-                amount=p["amount"],
-                gas_limit=p["gas_limit"],
-                declared_fee=p["declared_fee"],
-            ))
+            state.snipers.append(SniperState(**p))
         elif ev.action == "community-spend":
             dist_mod.community_pool_spend(state.bank, p["recipient"], p["coins"])
         elif ev.action == "rollback-to":
@@ -322,49 +318,6 @@ class Chain:
             state.next_seq += 1
             log.info("sniper fired at height %d, inclusion at %d", height,
                      height + self.scenario.inclusion_delay)
-
-    # -- parameter activation ------------------------------------------------
-
-    def _activate_block_changes(self, height: int) -> None:
-        state = self.state
-        if not state.pending_block_changes:
-            return
-        due = [e for e in state.pending_block_changes if e[0] <= height]
-        if not due:
-            return
-        state.pending_block_changes = [e for e in state.pending_block_changes
-                                       if e[0] > height]
-        for _, pid, change in due:
-            try:
-                self._activate_change(change)
-            except (ValueError, TypeError) as exc:
-                w = f"proposal {pid}: change {change.subspace}/{change.key} failed to apply: {exc}"
-                state.warnings.append(w)
-                log.warning(w)
-            self._mark_activated(pid)
-
-    def _activate_change(self, change) -> None:
-        state = self.state
-        if change.subspace == "distribution":
-            params = state.distribution.params
-            # a governance key is the field name without its underscores
-            name = {f.name.replace("_", ""): f.name for f in fields(params)}[change.key]
-            state.distribution.params = replace(params, **{name: Fraction(str(change.value))})
-        elif change.subspace == "staking":
-            if change.key == "UnbondingPeriodBlocks":
-                state.staking.params.unbonding_period_blocks = int(change.value)
-            else:
-                state.staking.params.max_delegation_power_fraction = Fraction(str(change.value))
-        elif change.subspace == "transfer":
-            state.transfer_params[change.key] = change.value
-
-    def _mark_activated(self, proposal_id: int) -> None:
-        prop = self.state.governance.proposals.get(proposal_id)
-        if prop is None:
-            return
-        prop.pending_activations -= 1
-        if prop.pending_activations <= 0 and prop.status == PASSED:
-            prop.status = gov_mod.APPLIED
 
     # -- block production ----------------------------------------------------
 
@@ -419,7 +372,7 @@ class Chain:
         state = self.state
         activity = False
 
-        self._activate_block_changes(height)
+        gov_mod.activate_block_changes(state, height)
         for ev in self._next_events(height):
             activity = True
             if self._run_event(ev, height) == _ROLLED_BACK:
@@ -481,7 +434,7 @@ class Chain:
                 self.tally_outcomes[pid] = status
                 log.info("height %d: proposal %d %s", height, pid, status)
                 if status == PASSED:
-                    self._schedule_changes(prop, height)
+                    gov_mod.schedule_changes(state, prop, height)
 
         if height % state.treasury.epoch_length_blocks == 0:
             activity = True
@@ -490,7 +443,7 @@ class Chain:
             summary["height"] = height
             self.epoch_events.append(summary)
             for pid, _key in summary["policies_applied"]:
-                self._mark_activated(pid)
+                gov_mod.mark_activated(state, pid)
 
         state.height = height
         for validator, version in self._pending_upgrades:
@@ -537,25 +490,6 @@ class Chain:
             if compatible >= TWO_THIRDS:
                 apply_txs(state, pending, height, winners[0])
         return list(best), compatible
-
-    def _schedule_changes(self, prop, height: int) -> None:
-        state = self.state
-        if prop.kind == TEXT:
-            prop.status = gov_mod.APPLIED
-            return
-        if gov_mod.lone_tax_policy_warning(prop):
-            w = (f"proposal {prop.proposal_id}: TaxPolicy updated without RewardPolicy "
-                 f"in the same proposal; burned taxes will not recycle as intended")
-            state.warnings.append(w)
-            log.warning(w)
-        for change in prop.changes:
-            if change.subspace == "treasury":
-                policy = PolicyConstraints.from_config(change.value)
-                treasury_mod.queue_policy_update(state.treasury, prop.proposal_id,
-                                                 change.key, policy)
-            else:
-                state.pending_block_changes.append((height + 1, prop.proposal_id, change))
-            prop.pending_activations += 1
 
     def _check_invariants(self, height: int, activity: bool) -> None:
         # with the automatic cadence, every block with activity is checked too

@@ -7,9 +7,10 @@ the state, but no update path applies it. Burns executed by the fee pipeline
 accumulate in a per-epoch counter; at every epoch boundary the counted
 amount is minted back to the treasury, a reward-weight share of it is burned
 for good, and the remainder is paid out to the community pool and bonded
-validators. Policy updates queued by governance also activate at the
+validators. Policy updates that governance queues on `pending_policies` when
+their proposal passes (`governance.schedule_changes`) activate at the
 boundary, so a new tax policy takes effect no earlier than the first block
-of the next epoch.
+of the next epoch. `set_policy` swaps a policy in, there and at genesis.
 """
 
 from __future__ import annotations
@@ -115,23 +116,22 @@ def record_epoch_burn(ts: TreasuryState, coins: dict) -> None:
         ts.epoch_burned[d] = ts.epoch_burned.get(d, 0) + a
 
 
-def queue_policy_update(ts: TreasuryState, proposal_id: int, key: str,
-                        policy: PolicyConstraints) -> None:
-    if key not in ("TaxPolicy", "RewardPolicy"):
-        raise MalformedProposal(f"unknown treasury policy key {key!r}")
-    ts.pending_policies.append((proposal_id, key, policy))
+def set_policy(ts: TreasuryState, key: str, policy: PolicyConstraints) -> None:
+    """Swap in `policy` as the TaxPolicy or RewardPolicy; its rate snaps into
+    the new window."""
+    if key == "TaxPolicy":
+        ts.tax_policy = policy
+        ts.tax_rate = policy.clamp(ts.tax_rate)
+    else:
+        ts.reward_policy = policy
+        ts.reward_weight = policy.clamp(ts.reward_weight)
 
 
 def apply_pending_policies(ts: TreasuryState) -> list:
     """Swap in queued policies; the active rates snap into the new windows."""
     applied = []
     for pid, key, policy in ts.pending_policies:
-        if key == "TaxPolicy":
-            ts.tax_policy = policy
-            ts.tax_rate = policy.clamp(ts.tax_rate)
-        else:
-            ts.reward_policy = policy
-            ts.reward_weight = policy.clamp(ts.reward_weight)
+        set_policy(ts, key, policy)
         applied.append((pid, key))
     ts.pending_policies = []
     return applied

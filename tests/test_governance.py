@@ -164,6 +164,11 @@ def test_param_change_validation_is_eager():
         submit_proposal(gov, PARAM_CHANGE, height=0, changes=[
             {"subspace": "oracle", "key": "VotePeriod", "value": "5"},
         ])
+    with pytest.raises(MalformedProposal, match="unknown key 'GasPolicy'"):
+        submit_proposal(gov, PARAM_CHANGE, height=0, changes=[
+            {"subspace": "treasury", "key": "GasPolicy",
+             "value": {"rate_min": "0", "rate_max": "1", "change_rate_max": "1"}},
+        ])
     with pytest.raises(MalformedProposal):
         submit_proposal(gov, PARAM_CHANGE, height=0, changes=[
             {"subspace": "treasury", "key": "TaxPolicy",

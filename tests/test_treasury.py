@@ -12,7 +12,6 @@ from luncsim.treasury import (
     TreasuryState,
     apply_pending_policies,
     epoch_transition,
-    queue_policy_update,
     record_epoch_burn,
 )
 
@@ -49,16 +48,10 @@ def test_from_config_validates():
 def test_policy_activation_snaps_rate_but_allows_jump():
     # activation clamps into the new window no matter how far the jump is
     ts = TreasuryState(tax_rate=Fraction(0))
-    queue_policy_update(ts, 1, "TaxPolicy", constraints("0.012", "0.012", "0"))
+    ts.pending_policies.append((1, "TaxPolicy", constraints("0.012", "0.012", "0")))
     assert apply_pending_policies(ts) == [(1, "TaxPolicy")]
     assert ts.tax_rate == Fraction("0.012")
     assert ts.pending_policies == []
-
-
-def test_queue_rejects_unknown_key():
-    ts = TreasuryState()
-    with pytest.raises(MalformedProposal):
-        queue_policy_update(ts, 1, "GasPolicy", constraints("0", "1", "1"))
 
 
 def test_tax_cap_lookup_falls_back_to_default():
@@ -122,7 +115,7 @@ def test_epoch_transition_rejects_off_boundary_heights():
 
 def test_epoch_transition_applies_queued_policies():
     bank, st, ts, ds = _epoch_setup("1", {})
-    queue_policy_update(ts, 7, "RewardPolicy", constraints("0.5", "0.5", "0"))
+    ts.pending_policies.append((7, "RewardPolicy", constraints("0.5", "0.5", "0")))
     out = epoch_transition(bank, ts, ds, st, height=200)
     assert out["policies_applied"] == [(7, "RewardPolicy")]
     assert ts.reward_weight == Fraction("0.5")
