@@ -12,6 +12,9 @@ A change's value is read once, at submission, and activation sets the value
 read: once its proposal passes (`schedule_changes`), a distribution, staking
 or transfer change activates at the next block (`activate_block_changes`), a
 treasury policy at the next epoch boundary (`treasury.epoch_transition`).
+A proposal's changes due at one block are set together or not at all; a
+proposal whose changes the params refuse ends `failed`, as in x/gov. A
+treasury policy still activates alone at its epoch.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ VOTING = "voting"
 PASSED = "passed"
 REJECTED = "rejected"
 APPLIED = "applied"
+FAILED = "failed"   # passed, but the params refused its changes
 
 YES = "yes"
 NO = "no"
@@ -292,32 +296,41 @@ def schedule_changes(state, prop: Proposal, height: int) -> None:
 
 
 def activate_block_changes(state, height: int) -> None:
-    """Set the parameters of the staged changes due at `height`. A change the
-    params refuse (distribution shares above 1 in total) is a warning."""
+    """Set the parameters of the staged changes due at `height`, a proposal at
+    a time: each params record it touches is rebuilt once, with all of its
+    values, so their order does not matter. If a record refuses them (a fee
+    split above 1), none is set and the proposal ends failed, with a warning."""
     if not state.pending_block_changes:
         return
     due = [e for e in state.pending_block_changes if e[0] <= height]
-    if not due:
-        return
     state.pending_block_changes = [e for e in state.pending_block_changes if e[0] > height]
-    for _, pid, change in due:
+    staged: dict = {}   # proposal id -> subspace -> {key: the value read}
+    for _, pid, c in due:
+        staged.setdefault(pid, {}).setdefault(c.subspace, {})[c.key] = c.parsed
+    for pid, values in staged.items():
+        transfer = values.pop("transfer", {})
+        records = {}
         try:
-            if change.subspace == "transfer":
-                state.transfer_params[change.key] = change.parsed
-            else:
-                store = state.distribution if change.subspace == "distribution" else state.staking
-                names = {f.name.replace("_", ""): f.name for f in fields(store.params)}
-                store.params = replace(store.params,
-                                       **{names[change.key.lower()]: change.parsed})
+            for subspace, vals in values.items():
+                params = getattr(state, subspace).params
+                names = {f.name.replace("_", ""): f.name for f in fields(params)}
+                records[subspace] = replace(params, **{names[k.lower()]: v
+                                                       for k, v in vals.items()})
         except ValueError as exc:
-            _warn(state, f"proposal {pid}: change {change.subspace}/{change.key} "
+            keys = ", ".join(f"{subspace}/{k}" for k in vals)
+            _warn(state, f"proposal {pid}: change{'s' if len(vals) > 1 else ''} {keys} "
                          f"failed to apply: {exc}")
-        mark_activated(state, pid)
+            state.governance.proposals[pid].status = FAILED
+        else:
+            for subspace, params in records.items():
+                getattr(state, subspace).params = params
+            state.transfer_params.update(transfer)
+        mark_activated(state, pid, sum(e[1] == pid for e in due))
 
 
-def mark_activated(state, proposal_id: int) -> None:
-    """Count one staged change of the proposal as active; the last one applies it."""
+def mark_activated(state, proposal_id: int, count: int = 1) -> None:
+    """Count `count` staged changes of the proposal as done; the last applies it."""
     prop = state.governance.proposals[proposal_id]
-    prop.pending_activations -= 1
+    prop.pending_activations -= count
     if prop.pending_activations <= 0 and prop.status == PASSED:
         prop.status = APPLIED

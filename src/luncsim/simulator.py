@@ -2,24 +2,25 @@
 
 Blocks are produced one height at a time. When the active validator set runs
 more than one software version and a block carries a version-sensitive
-transaction, the block is evaluated once per set of staking rules among the
-versions, each as a journaled branch of the live state; the versions whose
-per-tx results match form an agreement class (equal results make equal
-writes: a version only decides whether a msg is refused), and the block
-commits only if one class controls at least 2/3 of the voting power.
-Otherwise the chain halts at that height with the live state back at its
-pre-tx base. A halt is recoverable: pending upgrade events (wall-clock
-operator actions) are consumed one at a time and the halted height is
-re-processed until a class reaches 2/3 or nothing is left to upgrade.
+transaction, the block is decided once per set of staking rules among the
+versions, each in a journal branch of the live state that is rolled back; the
+versions whose per-tx results match form an agreement class (equal results
+make equal writes: a version only decides whether a msg is refused). If one
+class holds at least 2/3 of the voting power, the txs are then applied once
+to the live state, acting as that class's first version; otherwise the chain
+halts at that height with the live state untouched. A halt is recoverable:
+pending upgrade events (wall-clock operator actions) are consumed one at a
+time and the halted height is re-processed until a class reaches 2/3 or
+nothing is left to upgrade.
 
 The two version behaviors differ only in staking-message gating: the patch
 version rejects delegate/create-validator above the upgrade height forever,
 while the successor re-enables them at their revert heights and enforces the
 delegation power cap inside the protect window (`staking.version_rules`).
 Everything else -- fee admission, tax burning, transfers, governance -- is
-version-independent, so a block is evaluated once, whatever the version mix,
-when it has no delegate or create-validator msg at any exec depth or when
-every version runs the same rules at its height.
+version-independent, so a block is applied with no decision, whatever the
+version mix, when it has no delegate or create-validator msg at any exec
+depth or when every version runs the same rules at its height.
 
 Passed proposals act through `governance`, so `Chain` names no parameter: a
 block first runs `governance.activate_block_changes`, and a tally that
@@ -384,7 +385,6 @@ class Chain:
             if state.mempool else []
 
         version_power = self._version_groups()
-        total_power = sum(version_power.values())
         compatible = Fraction(1)
         tx_results: list = []
 
@@ -395,19 +395,15 @@ class Chain:
                 rules = staking_mod.version_rules(state.staking.gates, height, v)
                 groups.setdefault(rules, []).append(v)
             groups = list(groups.values())
+            ver = groups[0][0] if groups else staking_mod.V21
             if len(groups) > 1 and any(_version_sensitive(p.tx.msgs) for p in pending):
-                tx_results, compatible = self._apply_per_version(
-                    pending, height, groups, version_power, total_power)
+                ver, compatible = self._decide(pending, height, groups, version_power)
                 if compatible < TWO_THIRDS:
                     state.halted = True
-                    log.warning(
-                        "halt at height %d: best agreement class holds %s of power",
-                        height, compatible,
-                    )
+                    log.warning("halt at height %d: best agreement class holds %s of power",
+                                height, compatible)
                     return ConsensusOutcome(status=HALTED, height=height)
-            else:
-                ver = groups[0][0] if groups else staking_mod.V21
-                tx_results = apply_txs(state, pending, height, ver)
+            tx_results = apply_txs(state, pending, height, ver)
             state.mempool = [p for p in state.mempool if p.inclusion_height > height]
 
         # -- end of block: rewards, maturities, tallies, epoch ----------------
@@ -458,38 +454,27 @@ class Chain:
             self.tx_log[height] = tx_results
         return ConsensusOutcome(status=COMMITTED, height=height, proposer=proposer)
 
-    def _apply_per_version(self, pending: list, height: int, groups: list,
-                           version_power: dict, total_power: int):
-        """Evaluate the block's txs once per rule group; returns (results, compatible).
+    def _decide(self, pending: list, height: int, groups: list, version_power: dict):
+        """Decide the block's txs once per rule group; returns (version, compatible).
 
-        Each group of versions runs as a branch of the live state, acting as
-        its first version, and joins the class of its per-tx results. Every
-        branch is discarded except the last, which stays open until the
-        winner is known: it is kept when it belongs to the winning class,
-        otherwise the winner is re-applied. When no class reaches 2/3 the
-        live state is left at its pre-tx base.
+        Each group of versions runs the txs in a journal branch of the live
+        state, acting as its first version, joins the class of its per-tx
+        results, and is rolled back, so the live state is left as it was. The
+        class with the most power wins; `version` is its first version and
+        `compatible` its share of the power.
         """
-        state = self.state
-        journal = state.journal
+        journal = self.state.journal
         classes: dict = {}  # results -> versions
         for group in groups:
             base = journal.begin()
-            results = tuple(apply_txs(state, pending, height, group[0]))
+            results = tuple(apply_txs(self.state, pending, height, group[0]))
             classes.setdefault(results, []).extend(group)
-            if group is not groups[-1]:
-                journal.rollback(base)
-                journal.commit()
-        best = max(classes, key=lambda r: (sum(version_power[v] for v in classes[r]), r))
-        winners = classes[best]
-        compatible = Fraction(sum(version_power[v] for v in winners), total_power)
-        if compatible >= TWO_THIRDS and groups[-1][0] in winners:
-            journal.commit()
-        else:
             journal.rollback(base)
             journal.commit()
-            if compatible >= TWO_THIRDS:
-                apply_txs(state, pending, height, winners[0])
-        return list(best), compatible
+        best = max(classes, key=lambda r: (sum(version_power[v] for v in classes[r]), r))
+        winners = classes[best]
+        return winners[0], Fraction(sum(version_power[v] for v in winners),
+                                    sum(version_power.values()))
 
     def _check_invariants(self, height: int, activity: bool) -> None:
         # with the automatic cadence, every block with activity is checked too

@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import pytest
@@ -273,4 +274,39 @@ def test_a_fee_split_above_one_warns_and_leaves_the_params():
     assert chain.state.warnings == [
         "proposal 1: change distribution/communitytax failed to apply: "
         "fee split fractions must not exceed 1 in total"]
+    assert chain.state.governance.proposals[1].status == "failed"
+
+
+_SPLIT = [{"subspace": "distribution", "key": "communitytax", "value": "0.97"},
+          {"subspace": "distribution", "key": "bonusproposerreward", "value": "0"}]
+
+
+@pytest.mark.parametrize("changes", [_SPLIT, _SPLIT[::-1]], ids=["tax-first", "bonus-first"])
+def test_a_proposal_sets_its_fee_split_in_any_order(changes):
+    # from the default split (0, 1/100, 4/100) a tax of 97/100 fits only
+    # beside the proposal's own zero bonus
+    chain = _passing_chain(changes)
+    _step_to(chain, TALLY_HEIGHT + 1)
+    params = chain.state.distribution.params
+    assert (params.community_tax, params.base_proposer_reward,
+            params.bonus_proposer_reward) == (Fraction(97, 100), Fraction(1, 100), 0)
+    assert chain.state.warnings == []
     assert chain.state.governance.proposals[1].status == "applied"
+
+
+def test_a_refused_record_sets_none_of_its_proposals_changes():
+    chain = _passing_chain([
+        {"subspace": "transfer", "key": "SendEnabled", "value": True},
+        {"subspace": "staking", "key": "UnbondingPeriodBlocks", "value": "5"},
+        {"subspace": "distribution", "key": "communitytax", "value": "0.5"},
+        {"subspace": "distribution", "key": "baseproposerreward", "value": "0.5"}])
+    before = copy.deepcopy((chain.state.distribution.params, chain.state.staking.params,
+                            chain.state.transfer_params))
+    _step_to(chain, TALLY_HEIGHT + 1)
+    assert (chain.state.distribution.params, chain.state.staking.params,
+            chain.state.transfer_params) == before
+    assert chain.state.warnings == [
+        "proposal 1: changes distribution/communitytax, distribution/baseproposerreward "
+        "failed to apply: fee split fractions must not exceed 1 in total"]
+    prop = chain.state.governance.proposals[1]
+    assert (prop.status, prop.pending_activations) == ("failed", 0)

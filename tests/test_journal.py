@@ -203,10 +203,13 @@ def test_journal_is_empty_after_every_tx_and_every_block(val2_version, monkeypat
         # one version: ante runs before the tx's branch, on an empty log
         assert seen == [(0, 0)] * (2 * 4)
     else:
-        # two versions with different rules: ante runs inside the version's
-        # branch, which records its writes
-        assert len(seen) == 2 * 2 * 4
-        assert {depth for depth, _ in seen} == {1}
+        # two versions with different rules: each block is decided in one
+        # branch per version, where ante runs inside the branch, which
+        # records its writes; then its txs are applied once on the live state
+        assert len(seen) == 2 * 3 * 4
+        for block in (seen[:12], seen[12:]):
+            assert {depth for depth, _ in block[:8]} == {1}
+            assert block[8:] == [(0, 0)] * 4
         # with the gates out of reach both versions run the same rules, so
         # each block is evaluated once, like a one-version block
         seen = _watch_journal(val2_version, FAR_GATES, monkeypatch)
@@ -215,14 +218,18 @@ def test_journal_is_empty_after_every_tx_and_every_block(val2_version, monkeypat
 
 def _version_oracle(state, pending, versions, power, height=HEIGHT):
     """The old per-version scheme: a deep copy per version, each signed with
-    its (results, state hash); the best class wins."""
+    its (results, state hash); the best class wins. Returns the class's first
+    version, its results, its share of the power and its state."""
     classes = {}
+    branches = {}
     for ver in versions:
         branch, results = oracle_apply_txs(copy.deepcopy(state), pending, height, ver)
-        classes.setdefault((tuple(results), state_hash(branch)), []).append(ver)
+        signature = (tuple(results), state_hash(branch))
+        classes.setdefault(signature, []).append(ver)
+        branches.setdefault(signature, branch)
     best = max(classes, key=lambda s: (sum(power[v] for v in classes[s]), s))
     compatible = Fraction(sum(power[v] for v in classes[best]), sum(power.values()))
-    return list(best[0]), compatible, best[1]
+    return classes[best][0], list(best[0]), compatible, branches[best]
 
 
 def _split_chain(v20_power, v21_power):
@@ -250,19 +257,23 @@ def test_version_branches_match_the_deepcopy_oracle():
         power = {"v20": v20, "v21": v21}
         pending = _pending(raw)
         base = state_hash(state)
-        want_results, want_compatible, want_hash = _version_oracle(
+        want_version, want_results, want_compatible, want_state = _version_oracle(
             state, pending, ["v20", "v21"], power)
-        results, compatible = chain._apply_per_version(
-            pending, HEIGHT, [["v20"], ["v21"]], power, v20 + v21)
-        assert (results, compatible) == (want_results, want_compatible)
-        if kept is None:        # a halt leaves the exact pre-tx base
+        version, compatible = chain._decide(pending, HEIGHT, [["v20"], ["v21"]], power)
+        assert (version, compatible) == (want_version, want_compatible)
+        # every branch is discarded: the live state is still the pre-tx base
+        assert state_hash(state) == base
+        assert _idle(state.journal)
+        if kept is None:        # a halt
             assert compatible < Fraction(2, 3)
-            assert state_hash(state) == base
         else:
-            assert state_hash(state) == want_hash
+            assert version == kept
+            results = apply_txs(state, pending, HEIGHT, version)
+            assert results == want_results
+            assert state_hash(state) == state_hash(want_state)
             assert results[1] == (("ok", "") if kept == "v21"
                                   else ("failed", "MsgNotSupported"))
-        assert _idle(state.journal)
+            assert _idle(state.journal)
 
 
 # -- property: the journal and the deep-copy oracle agree on random blocks --

@@ -25,9 +25,11 @@ CASES = [(w, 0) for w in WORKLOADS] + [(w, 1) for w in WORKLOADS]
 
 # Each traced layer's calls in one replay at seed 0, in perfbench/spans.py's
 # order. tx-mixed-versions keeps its gates out of reach, so v20 and v21 run
-# the same rules and every block is evaluated once (40 apply_txs, 1 hash);
-# rebel1's mixed blocks past the testnet delegate revert still run once per
-# rule set, and the one at 7684492 halts (4 apply_txs, 1 hash, 129 walks).
+# the same rules and every block is applied with no decision (40 apply_txs,
+# 1 hash); rebel1's mixed block at 7684492, past the testnet delegate revert,
+# is decided once per rule set: it halts (2 apply_txs), then after the
+# recovery upgrade is decided again and applied once (3 apply_txs), with
+# 1 hash and 129 walks.
 LAYERS = [
     "simulator.block", "simulator.apply_event", "simulator.apply_txs",
     "simulator.execute_msg", "simulator.select_proposer", "simulator.version_groups",
@@ -38,7 +40,7 @@ LAYERS = [
     "scenario.parse_scenario",
 ]
 CALLS = {
-    "rebel1-replay": (11, 7, 4, 4, 140, 11, 21, 4, 4, 0, 0, 1, 0, 0, 1, 129, 1, 1, 1),
+    "rebel1-replay": (11, 7, 5, 5, 140, 11, 21, 5, 5, 0, 0, 1, 0, 0, 1, 129, 1, 1, 1),
     "tx-large-state": (24, 480, 24, 432, 24, 24, 24, 480, 0, 0, 24, 3, 0, 0, 1, 25, 1, 1, 1),
     "tx-mixed-versions": (40, 821, 40, 723, 40, 40, 40, 800, 7, 3, 40, 4, 3, 0, 1, 41, 1, 1, 1),
     "fork-replay": (70, 58, 50, 45, 138, 69, 138, 50, 0, 0, 45, 10, 1, 2, 1, 68, 1, 1, 1),

@@ -398,12 +398,15 @@ def test_invariant_interval_runs_clean():
 
 
 def _count_evaluations(monkeypatch):
+    """Per height, the `apply_txs` calls made in a version branch and on the
+    live state."""
     from luncsim import simulator
     calls: dict = {}
     original = simulator.apply_txs
 
     def counting(state, pending, height, version):
-        calls[height] = calls.get(height, 0) + 1
+        branches, live = calls.get(height, (0, 0))
+        calls[height] = (branches + 1, live) if state.journal.depth else (branches, live + 1)
         return original(state, pending, height, version)
 
     monkeypatch.setattr(simulator, "apply_txs", counting)
@@ -421,12 +424,14 @@ def test_version_insensitive_block_is_evaluated_once(monkeypatch):
         _delegate_tx(18, "alice", "val1", 1 * M)]}
     calls = _count_evaluations(monkeypatch)
     once = _run(g, s)
-    assert calls == {15: 1, 18: 2}    # the plain sends run once, the delegate per version
+    # the plain sends are applied with no decision; the delegate is decided
+    # per version, then applied once
+    assert calls == {15: (0, 1), 18: (2, 1)}
 
     calls.clear()
     monkeypatch.setattr(simulator, "_version_sensitive", lambda msgs: True)
     per_version = _run(g, s)
-    assert calls == {15: 2, 18: 2}
+    assert calls == {15: (2, 1), 18: (2, 1)}
     assert once.tx_log == per_version.tx_log == {
         15: [("ok", ""), ("failed", "InsufficientFunds")], 18: [("ok", "")]}
     assert once.rows == per_version.rows
@@ -436,7 +441,7 @@ def test_version_insensitive_block_is_evaluated_once(monkeypatch):
     # height, so even a version-sensitive block is evaluated once
     calls.clear()
     far = _run(_genesis(validators, accounts=[("alice", 10 * M)]), s)
-    assert calls == {15: 1, 18: 1}
+    assert calls == {15: (0, 1), 18: (0, 1)}
     assert far.tx_log == once.tx_log
 
 

@@ -1,6 +1,6 @@
 """The acting software version reaches the state only through `version_rules`.
 
-`Chain._apply_per_version` signs an agreement class with the per-tx results
+`Chain._decide` signs an agreement class with the per-tx results
 alone. That is exact because the version only decides whether `delegate` or
 `create_validator` refuses a msg, and a refused tx is rolled back to its
 ante writes, so equal results make equal writes. These checks walk the

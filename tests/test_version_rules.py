@@ -170,15 +170,49 @@ def test_results_alone_sign_an_agreement_class(block):
     if len({h for _, h in signatures.values()}) < len(set(signatures.values())):
         event("different results, equal states")
 
-    base = state_hash(state)
+    # the decision discards every branch it opens, and picks the oracle's class
+    twin = copy.deepcopy(chain)
     pending = _pending(txs, height)
-    want_results, want_compatible, want_hash = _version_oracle(
+    want_version, want_results, want_compatible, want_state = _version_oracle(
         state, pending, versions, power, height)
-    results, compatible = chain._apply_per_version(pending, height, groups, power,
-                                                   sum(power.values()))
-    assert (results, compatible) == (want_results, want_compatible)
-    assert state_hash(state) == (want_hash if compatible >= Fraction(2, 3) else base)
+    state.mempool = pending
+    base = state_hash(state)
+    version, compatible = chain._decide(pending, height, groups, power)
+    assert (version, compatible) == (want_version, want_compatible)
+    assert state_hash(state) == base
     assert _idle(state.journal)
+
+    # the block itself: a halt leaves the live state at its pre-tx base; a
+    # commit leaves the oracle's winning state, taken through the same end of
+    # block (the twin's mempool is empty, so it applies no tx)
+    outcome = chain._produce_block(height)
+    assert _idle(state.journal)
+    if compatible < Fraction(2, 3):
+        event("halt")
+        assert outcome.status == simulator.HALTED and state.halted
+        state.halted = False
+        assert state_hash(state) == base
+    else:
+        assert outcome.status == simulator.COMMITTED
+        assert chain.tx_log[height] == want_results
+        twin.state = want_state
+        twin.scenario.precommit_overrides[height] = compatible
+        twin._produce_block(height)
+        assert state_hash(state) == state_hash(twin.state)
+
+
+def _watch_applies(monkeypatch):
+    """Record the acting version of every `apply_txs` call, as the versions
+    decided in a branch and the versions applied to the live state."""
+    calls = {"branch": [], "live": []}
+    original = simulator.apply_txs
+
+    def watched(state, *args):
+        calls["branch" if state.journal.depth else "live"].append(args[2])
+        return original(state, *args)
+
+    monkeypatch.setattr(simulator, "apply_txs", watched)
+    return calls
 
 
 def test_versions_with_equal_rules_are_evaluated_once(monkeypatch):
@@ -203,12 +237,10 @@ def test_versions_with_equal_rules_are_evaluated_once(monkeypatch):
         "name": "rules", "end_height": 3, "strict_halt": True, "events": [
             {"at_height": 3, "action": "submit-tx", "tx": {
                 "fee_payer": "alice", "msgs": [_delegate("alice", "val1", M)]}}]}))
-    calls = []
-    original = simulator.apply_txs
-    monkeypatch.setattr(simulator, "apply_txs",
-                        lambda *args: calls.append(args[3]) or original(*args))
+    calls = _watch_applies(monkeypatch)
     result = chain.run()
-    assert calls == ["v20", "v21"]
+    # decided once per rule set, then applied once as the winning class
+    assert calls == {"branch": ["v20", "v21"], "live": ["v21"]}
     assert result.halt_heights == [] and result.tx_log[3] == [("ok", "")]
     assert result.final_state.staking.validators["val1"].tokens == 11 * M
 
@@ -262,10 +294,7 @@ def test_rules_differing_in_any_field_force_per_version_evaluation(field, monkey
         return VersionRules(False, False, False)._replace(**{field: version == "v21"})
 
     monkeypatch.setattr(staking_mod, "version_rules", stub)
-    calls = []
-    original = simulator.apply_txs
-    monkeypatch.setattr(simulator, "apply_txs",
-                        lambda *args: calls.append(args[3]) or original(*args))
+    calls = _watch_applies(monkeypatch)
     genesis = {
         "chain_id": "rules", "genesis_height": 0,
         "accounts": [{"address": "alice", "denom": "uluna", "amount": str(50 * M)}],
@@ -281,5 +310,7 @@ def test_rules_differing_in_any_field_force_per_version_evaluation(field, monkey
         "name": "rules", "end_height": 3, "strict_halt": True, "events": [
             {"at_height": 3, "action": "submit-tx", "tx": {
                 "fee_payer": "alice", "msgs": [_delegate("alice", "val1", M)]}}]}))
-    chain.run()
-    assert sorted(calls) == ["v20", "v21"]
+    result = chain.run()
+    assert calls["branch"] == ["v20", "v21"]
+    # with half the power each, the versions commit only when they agree
+    assert calls["live"] == ([] if result.halt_heights else ["v20"])
