@@ -13,8 +13,10 @@ read: once its proposal passes (`schedule_changes`), a distribution, staking
 or transfer change activates at the next block (`activate_block_changes`), a
 treasury policy at the next epoch boundary (`treasury.epoch_transition`).
 A proposal's changes due at one block are set together or not at all; a
-proposal whose changes the params refuse ends `failed`, as in x/gov. A
-treasury policy still activates alone at its epoch.
+proposal whose changes the params refuse ends `failed`, as in x/gov, and its
+queued treasury policies are dropped. One gap is left: a tally at an epoch
+boundary sets its policies at that turnover, before the next block refuses
+the rest.
 """
 
 from __future__ import annotations
@@ -299,7 +301,8 @@ def activate_block_changes(state, height: int) -> None:
     """Set the parameters of the staged changes due at `height`, a proposal at
     a time: each params record it touches is rebuilt once, with all of its
     values, so their order does not matter. If a record refuses them (a fee
-    split above 1), none is set and the proposal ends failed, with a warning."""
+    split above 1), none is set, nor any of the proposal's queued treasury
+    policies, and the proposal ends failed, with a warning."""
     if not state.pending_block_changes:
         return
     due = [e for e in state.pending_block_changes if e[0] <= height]
@@ -321,11 +324,14 @@ def activate_block_changes(state, height: int) -> None:
             _warn(state, f"proposal {pid}: change{'s' if len(vals) > 1 else ''} {keys} "
                          f"failed to apply: {exc}")
             state.governance.proposals[pid].status = FAILED
+            state.governance.proposals[pid].pending_activations = 0
+            state.treasury.pending_policies = [e for e in state.treasury.pending_policies
+                                               if e[0] != pid]
         else:
             for subspace, params in records.items():
                 getattr(state, subspace).params = params
             state.transfer_params.update(transfer)
-        mark_activated(state, pid, sum(e[1] == pid for e in due))
+            mark_activated(state, pid, sum(e[1] == pid for e in due))
 
 
 def mark_activated(state, proposal_id: int, count: int = 1) -> None:

@@ -11,7 +11,7 @@ to the live state, acting as that class's first version; otherwise the chain
 halts at that height with the live state untouched. A halt is recoverable:
 pending upgrade events (wall-clock operator actions) are consumed one at a
 time and the halted height is re-processed until a class reaches 2/3 or
-nothing is left to upgrade.
+nothing is left to upgrade; the halt is reported once.
 
 The two version behaviors differ only in staking-message gating: the patch
 version rejects delegate/create-validator above the upgrade height forever,
@@ -32,17 +32,22 @@ while snipers submit through the mempool and land after the configured
 inclusion delay. Validator upgrades scheduled at a height take effect from
 the next block.
 
-Most blocks of a long replay are idle: no event, tx, fee, maturity, tally,
-epoch turnover, parameter activation or snapshot falls on them, so all they
-do is rotate proposer priority and, on the invariant cadence, check the
-invariants. `Chain.run()` looks ahead after every block to the next height
-that can have work and produces the idle blocks before it in one pass: one
-proposer rotation, one report run, and `verify_invariants` at exactly the
-heights a block-by-block replay would check. With fixed powers the proposer
-priorities are periodic, so the rotation skips every whole cycle it finds
-and costs time in the number of distinct priority states, not in blocks.
-The results are the same as producing the blocks one at a time, which
-`Chain.step()` still does: it produces exactly one block.
+A block runs its phases in one fixed order, listed once in
+`Chain._phases` with their due heights: parameter activation, events,
+snipers, txs, fees, unbonding maturities, tallies, epoch turnover, upgrades
+and the rollback snapshot. A phase's due height is the first height at which
+it has work, and a block runs the phases due at its height; after the txs
+every block rotates proposer priority, which wakes no block. Most blocks of
+a long replay are idle, with no phase due, so all they do is rotate the
+proposer and, on the invariant cadence, check the invariants. `Chain.run()`
+is one loop: after each block it takes the lowest due height and produces
+the idle blocks before it in one pass: one proposer rotation, one report
+run, and `verify_invariants` at exactly the heights a block-by-block replay
+would check. With fixed powers the proposer priorities are periodic, so the
+rotation skips every whole cycle it finds and costs time in the number of
+distinct priority states, not in blocks. The results are the same as
+producing the blocks one at a time, which `Chain.step()` still does: it
+produces exactly one block.
 
 Report rows are kept as height runs: `Chain.rows` (and `RunResult.rows`) is
 a list of `(first, last, *values)` tuples, each standing for one blocks.csv
@@ -234,20 +239,6 @@ class Chain:
 
     # -- event plumbing ----------------------------------------------------
 
-    def _next_events(self, height: int):
-        """Yield every not-yet-run event with at_height <= height.
-
-        Events are consumed one at a time as they are yielded, so when a
-        `rollback-to` ends the block the events declared after it stay
-        pending and run when the new fork reaches their height.
-        """
-        while self._cursor < len(self.events):
-            ev = self.events[self._cursor]
-            if ev.at_height > height:
-                break
-            self._cursor += 1
-            yield ev
-
     def _run_event(self, ev, height: int) -> str | None:
         """`_apply_event`, with an event the chain refuses raised as bad input."""
         try:
@@ -367,91 +358,118 @@ class Chain:
             powers[version] = powers.get(version, 0) + power
         return powers
 
+    def _phases(self):
+        """Yield each block phase with its due height, in block order: the
+        lowest height above the last block at which it has work (one at or
+        below it means the next block), or None. Read lazily, a due height
+        sees the writes of the phases before it in the block: a `submit-tx`
+        event fills the mempool at its own height, txs fill the fee
+        collector, events queue upgrades."""
+        state = self.state
+        last = state.height
+        events, changes = self.events, state.pending_block_changes
+        yield "activate", min(e[0] for e in changes) if changes else None
+        yield "events", events[self._cursor].at_height if self._cursor < len(events) else None
+        yield "snipers", min((s.target_height for s in state.snipers if not s.fired), default=None)
+        yield "txs", min((p.inclusion_height for p in state.mempool), default=None)
+        yield "fees", last + 1 if any(state.bank.module_balances(FEE_COLLECTOR).values()) else None
+        unbonding = state.staking.unbonding
+        yield "unbondings", unbonding[0].completion_height if unbonding else None
+        yield "tallies", min((p.voting_end_height for p in state.governance.proposals.values()
+                              if p.status == VOTING), default=None)
+        epoch = state.treasury.epoch_length_blocks
+        yield "epoch", (last // epoch + 1) * epoch
+        yield "upgrades", last + 1 if self._pending_upgrades else None
+        yield "snapshot", min((h for h in self._snap_heights if h > last), default=None)
+
     def _produce_block(self, height: int) -> ConsensusOutcome | str:
+        """Run the phases due at `height`, in the order of `_phases`.
+
+        A `rollback-to` event ends the block early, and so does a halt, which
+        leaves the live state as the block found it. Past the txs the block
+        commits and rotates the proposer, which wakes no block.
+        """
         if self.state.halted:
             raise ChainHalted(f"chain is halted at height {self.state.height}")
         state = self.state
         activity = False
-
-        gov_mod.activate_block_changes(state, height)
-        for ev in self._next_events(height):
-            activity = True
-            if self._run_event(ev, height) == _ROLLED_BACK:
-                return _ROLLED_BACK
-        if state.snipers:
-            self._fire_snipers(height)
-
-        pending = [p for p in state.mempool if p.inclusion_height <= height] \
-            if state.mempool else []
-
-        version_power = self._version_groups()
         compatible = Fraction(1)
-        tx_results: list = []
-
-        if pending:
-            activity = True
-            groups: dict = {}   # staking rules -> the powered versions running them
-            for v in sorted(v for v, p in version_power.items() if p):
-                rules = staking_mod.version_rules(state.staking.gates, height, v)
-                groups.setdefault(rules, []).append(v)
-            groups = list(groups.values())
-            ver = groups[0][0] if groups else staking_mod.V21
-            if len(groups) > 1 and any(_version_sensitive(p.tx.msgs) for p in pending):
-                ver, compatible = self._decide(pending, height, groups, version_power)
-                if compatible < TWO_THIRDS:
-                    state.halted = True
-                    log.warning("halt at height %d: best agreement class holds %s of power",
-                                height, compatible)
-                    return ConsensusOutcome(status=HALTED, height=height)
-            tx_results = apply_txs(state, pending, height, ver)
-            state.mempool = [p for p in state.mempool if p.inclusion_height > height]
-
-        # -- end of block: rewards, maturities, tallies, epoch ----------------
-        proposer = self._select_proposer()
-        precommit = self.scenario.precommit_overrides.get(height, compatible)
-        # genesis may seed a zero entry in the collector
-        fees = {d: a for d, a in state.bank.module_balances(FEE_COLLECTOR).items() if a}
-        if fees and proposer is not None:
-            activity = True
-            dist_mod.allocate_block_fees(state.bank, state.distribution, state.staking,
-                                         fees, proposer, precommit)
-
-        if state.staking.unbonding and \
-                state.staking.unbonding[0].completion_height <= height:
-            activity = True
-            staking_mod.mature_unbondings(state.bank, state.staking, height)
-
-        gov = state.governance
-        for pid in sorted(gov.proposals):
-            prop = gov.proposals[pid]
-            if prop.status == VOTING and prop.voting_end_height <= height:
+        for phase, due in self._phases():
+            if phase == "txs":   # grouped in every block that reaches the txs
+                version_power = self._version_groups()
+            elif phase == "fees":
+                state.height = height
+                proposer = self._select_proposer()
+            if due is None or due > height:
+                continue
+            if phase == "activate":
+                gov_mod.activate_block_changes(state, height)
+            elif phase == "events":
+                # one event at a time: after a `rollback-to` the events behind it
+                # stay pending and run when the new fork reaches their height
                 activity = True
-                status = gov_mod.tally(gov, state.staking, pid, height)
-                self.tally_outcomes[pid] = status
-                log.info("height %d: proposal %d %s", height, pid, status)
-                if status == PASSED:
-                    gov_mod.schedule_changes(state, prop, height)
-
-        if height % state.treasury.epoch_length_blocks == 0:
-            activity = True
-            summary = treasury_mod.epoch_transition(
-                state.bank, state.treasury, state.distribution, state.staking, height)
-            summary["height"] = height
-            self.epoch_events.append(summary)
-            for pid, _key in summary["policies_applied"]:
-                gov_mod.mark_activated(state, pid)
-
-        state.height = height
-        for validator, version in self._pending_upgrades:
-            state.staking.validators[validator].software_version = version
-        self._pending_upgrades = []
-
-        if height in self._snap_heights:
-            self._snapshots[height] = state.clone()
+                events = self.events
+                while self._cursor < len(events) and events[self._cursor].at_height <= height:
+                    ev = events[self._cursor]
+                    self._cursor += 1
+                    if self._run_event(ev, height) == _ROLLED_BACK:
+                        return _ROLLED_BACK
+            elif phase == "snipers":
+                self._fire_snipers(height)
+            elif phase == "txs":
+                activity = True
+                pending = [p for p in state.mempool if p.inclusion_height <= height]
+                groups: dict = {}   # staking rules -> the powered versions running them
+                for v in sorted(v for v, p in version_power.items() if p):
+                    rules = staking_mod.version_rules(state.staking.gates, height, v)
+                    groups.setdefault(rules, []).append(v)
+                groups = list(groups.values())
+                ver = groups[0][0] if groups else staking_mod.V21
+                if len(groups) > 1 and any(_version_sensitive(p.tx.msgs) for p in pending):
+                    ver, compatible = self._decide(pending, height, groups, version_power)
+                    if compatible < TWO_THIRDS:
+                        state.halted = True
+                        log.warning("halt at height %d: best agreement class holds %s of power",
+                                    height, compatible)
+                        return ConsensusOutcome(status=HALTED, height=height)
+                self.tx_log[height] = apply_txs(state, pending, height, ver)
+                state.mempool = [p for p in state.mempool if p.inclusion_height > height]
+            elif phase == "fees" and proposer is not None:
+                activity = True
+                # genesis may seed a zero entry in the collector
+                fees = {d: a for d, a in state.bank.module_balances(FEE_COLLECTOR).items() if a}
+                precommit = self.scenario.precommit_overrides.get(height, compatible)
+                dist_mod.allocate_block_fees(state.bank, state.distribution, state.staking,
+                                             fees, proposer, precommit)
+            elif phase == "unbondings":
+                activity = True
+                staking_mod.mature_unbondings(state.bank, state.staking, height)
+            elif phase == "tallies":
+                activity = True
+                gov = state.governance
+                for pid, prop in sorted(gov.proposals.items()):
+                    if prop.status == VOTING and prop.voting_end_height <= height:
+                        status = gov_mod.tally(gov, state.staking, pid, height)
+                        self.tally_outcomes[pid] = status
+                        log.info("height %d: proposal %d %s", height, pid, status)
+                        if status == PASSED:
+                            gov_mod.schedule_changes(state, prop, height)
+            elif phase == "epoch":
+                activity = True
+                summary = treasury_mod.epoch_transition(
+                    state.bank, state.treasury, state.distribution, state.staking, height)
+                summary["height"] = height
+                self.epoch_events.append(summary)
+                for pid, _key in summary["policies_applied"]:
+                    gov_mod.mark_activated(state, pid)
+            elif phase == "upgrades":
+                for validator, version in self._pending_upgrades:
+                    state.staking.validators[validator].software_version = version
+                self._pending_upgrades = []
+            elif phase == "snapshot":
+                self._snapshots[height] = state.clone()
         self._check_invariants(height, activity)
         self._add_rows(height, height)
-        if tx_results:
-            self.tx_log[height] = tx_results
         return ConsensusOutcome(status=COMMITTED, height=height, proposer=proposer)
 
     def _decide(self, pending: list, height: int, groups: list, version_power: dict):
@@ -526,32 +544,11 @@ class Chain:
         return True
 
     def _next_busy_height(self, end: int) -> int:
-        """The first height above the current one whose block may do work.
-
-        Every block before it is idle: no event, tx, sniper, parameter
-        activation, fee, maturity, tally, epoch turnover or snapshot, so
-        it only rotates the proposer and, on the invariant cadence,
-        checks the invariants. A halted chain, pending upgrades or fees
-        left in the collector allow no fast-forward.
-        """
-        state = self.state
-        height = state.height + 1
-        if state.halted or self._pending_upgrades or \
-                any(state.bank.module_balances(FEE_COLLECTOR).values()):
-            return height
-        epoch = state.treasury.epoch_length_blocks
-        wake = [end, (state.height // epoch + 1) * epoch]
-        if self._cursor < len(self.events):
-            wake.append(self.events[self._cursor].at_height)
-        wake.extend(p.inclusion_height for p in state.mempool)
-        wake.extend(s.target_height for s in state.snipers if not s.fired)
-        if state.staking.unbonding:
-            wake.append(state.staking.unbonding[0].completion_height)
-        wake.extend(p.voting_end_height for p in state.governance.proposals.values()
-                    if p.status == VOTING)
-        wake.extend(e[0] for e in state.pending_block_changes)
-        wake.extend(h for h in self._snap_heights if h > state.height)
-        return max(height, min(wake))
+        """The first height above the current one at which a phase is due, or
+        `end`. Every block before it only rotates the proposer and, on the
+        invariant cadence, checks the invariants."""
+        due = [d for _, d in self._phases() if d is not None]
+        return max(self.state.height + 1, min(due + [end]))
 
     def _produce_idle_blocks(self, last: int) -> None:
         """Commit the idle blocks from the next height through `last` in one pass.
@@ -585,35 +582,30 @@ class Chain:
             raise ParseError(f"end_height {end} is before the current height "
                              f"{self.state.height}")
         blocks = 0
-        terminal = False
+        halted = False   # the last block produced here halted
         while self.state.height < end:
-            last_idle = self._next_busy_height(end) - 1
-            if last_idle > self.state.height:
-                blocks += last_idle - self.state.height
-                self._produce_idle_blocks(last_idle)
+            if halted:   # recover: one upgrade, then the same height again
+                if not self._apply_one_recovery_upgrade():
+                    break   # none left: the chain stays halted
+                self.state.halted = False
+            elif not self.state.halted:   # a chain handed in halted raises below
+                last_idle = self._next_busy_height(end) - 1
+                if last_idle > self.state.height:
+                    blocks += last_idle - self.state.height
+                    self._produce_idle_blocks(last_idle)
             height = self.state.height + 1
             outcome = self._produce_block(height)
             if outcome == _ROLLED_BACK:
-                continue
-            if outcome.status == COMMITTED:
+                halted = False
+            elif outcome.status == COMMITTED:
+                halted = False
                 blocks += 1
-                continue
-            # halt episode at `height`
-            self.halt_heights.append(height)
-            self._add_rows(height, height)
-            if self.scenario.strict_halt:
-                terminal = True
-                break
-            while self._apply_one_recovery_upgrade():
-                self.state.halted = False
-                outcome = self._produce_block(height)
-                if outcome == _ROLLED_BACK or outcome.status == COMMITTED:
-                    if outcome != _ROLLED_BACK:
-                        blocks += 1
+            elif not halted:   # a halt episode at `height`, recorded once
+                halted = True
+                self.halt_heights.append(height)
+                self._add_rows(height, height)
+                if self.scenario.strict_halt:
                     break
-            else:   # no upgrade left to apply: the chain stays halted
-                terminal = True
-                break
         verify_invariants(self.state)
         return RunResult(
             final_state=self.state,
@@ -621,7 +613,7 @@ class Chain:
             end_height=end,
             blocks_committed=blocks,
             halt_heights=list(self.halt_heights),
-            terminal_halted=terminal,
+            terminal_halted=halted,
             denoms=list(self.denoms),
             rows=self.rows,
             tally_outcomes=dict(self.tally_outcomes),

@@ -310,3 +310,19 @@ def test_a_refused_record_sets_none_of_its_proposals_changes():
         "failed to apply: fee split fractions must not exceed 1 in total"]
     prop = chain.state.governance.proposals[1]
     assert (prop.status, prop.pending_activations) == ("failed", 0)
+
+
+def test_a_failed_proposal_sets_none_of_its_treasury_policies():
+    # the fee split is refused at the next block, before the epoch boundary
+    chain = _passing_chain([
+        {"subspace": "treasury", "key": "TaxPolicy",
+         "value": {"rate_min": "1/100", "rate_max": "2/100"}},
+        {"subspace": "distribution", "key": "communitytax", "value": "0.96"}])
+    _step_to(chain, TALLY_HEIGHT + 1)
+    prop = chain.state.governance.proposals[1]
+    assert (prop.status, prop.pending_activations) == ("failed", 0)
+    assert chain.state.treasury.pending_policies == []
+    _step_to(chain, EPOCH)
+    assert chain.state.treasury.tax_rate == Fraction(1, 2)
+    assert chain.epoch_events[0]["policies_applied"] == []
+    assert prop.status == "failed"

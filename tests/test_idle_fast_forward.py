@@ -15,7 +15,7 @@ from luncsim import BUNDLED_SCENARIOS, build_bundled, build_state, parse_scenari
 from luncsim import simulator
 from luncsim.errors import ChainHalted, ParseError
 from luncsim.scenario import Scenario
-from luncsim.simulator import COMMITTED, Chain
+from luncsim.simulator import COMMITTED, Chain, run_scenario
 from luncsim.staking import INACTIVE
 from luncsim.state import state_hash
 
@@ -372,3 +372,113 @@ def test_sparse_run_matches_step_loop(configs, monkeypatch):
     powers=st.integers(1, 40_000), ends=st.integers(20, 600)))
 def test_sparse_run_matches_step_loop_over_uneven_powers(configs, monkeypatch):
     _assert_run_matches_step_loop(*configs, monkeypatch)
+
+
+# -- the phase list ------------------------------------------------------------
+# Each case gives one phase alone a due height at WAKE, with idle blocks
+# after it: `run()` must produce WAKE through that phase, not fast-forward
+# over it, and give what a step() loop gives. A phase whose due height is
+# missing never runs, so its case fails.
+
+WAKE, END = 120, 200
+
+
+def _phase_case(events=(), epoch=10**6, voting=60, unbonding=80, genesis_height=0,
+                fees=0, delay=0):
+    genesis_cfg = {
+        "genesis_height": genesis_height,
+        "accounts": [{"address": "alice", "denom": "uluna", "amount": str(1000 * M)}],
+        "module_accounts": [
+            {"module": "FeeCollector", "denom": "uluna", "amount": fees},
+            {"module": "CommunityPool", "denom": "uluna", "amount": 1_000}],
+        "staking": {"gates": FAR_GATES, "unbonding_period_blocks": unbonding,
+                    "validators": [{"address": "val1", "tokens": str(5 * M)}]},
+        "treasury": {"epoch_length_blocks": epoch},
+        "governance": {"voting_period_blocks": voting},
+        "ante": {"gas_price": "0"},
+    }
+    scenario_cfg = {"name": "phase", "end_height": END, "inclusion_delay": delay,
+                    "events": list(events)}
+    return genesis_cfg, scenario_cfg
+
+
+def _proposal(height, kind="text", changes=()):
+    return {"at_height": height, "action": "submit-proposal",
+            "proposal": {"kind": kind, "title": "p", "changes": list(changes)}}
+
+
+def _sniper(target):
+    return {"at_height": 1, "action": "sniper-arm", "delegator": "alice", "validator": "val1",
+            "target_height": target, "amount": {"denom": "uluna", "amount": str(M)}}
+
+
+_UNDELEGATE = {"kind": "undelegate", "delegator": "val1", "validator": "val1",
+               "amount": {"denom": "uluna", "amount": str(M)}}
+_COMMUNITY_TAX = {"subspace": "distribution", "key": "communitytax", "value": "0.1"}
+
+# phase -> its case, in block order
+PHASE_CASES = {
+    # tallied at WAKE - 1, its change activates at WAKE
+    "activate": _phase_case([_proposal(1, "param-change", [_COMMUNITY_TAX]),
+                             {"at_height": 2, "action": "cast-vote", "voter": "val1",
+                              "proposal_id": 1, "option": "yes"}], voting=WAKE - 2),
+    "events": _phase_case([{"at_height": WAKE, "action": "community-spend",
+                            "recipient": "bob",
+                            "coins": [{"denom": "uluna", "amount": "3"}]}]),
+    # the sniper's tx lands two blocks later
+    "snipers": _phase_case([_sniper(WAKE)], delay=2),
+    "txs": _phase_case([_sniper(WAKE - 2)], delay=2),
+    # genesis fees, collected by the first block
+    "fees": _phase_case(genesis_height=WAKE - 1, fees=7),
+    "unbondings": _phase_case([_tx(1, _UNDELEGATE)], unbonding=WAKE - 1),
+    "tallies": _phase_case([_proposal(1)], voting=WAKE - 1),
+    "epoch": _phase_case(epoch=WAKE),
+    # queued in the block a rollback ends, so it lands on the fork's first block
+    "upgrades": _phase_case([{"at_height": 150, "action": "upgrade-validator",
+                              "validator": "val1", "version": "v20"},
+                             {"at_height": 150, "action": "rollback-to",
+                              "target_height": WAKE - 1}]),
+    "snapshot": _phase_case([{"at_height": 180, "action": "rollback-to",
+                              "target_height": WAKE}]),
+}
+
+
+def _record_due_phases(monkeypatch) -> dict:
+    """height -> the phases due when `_produce_block` reached them there."""
+    due_at: dict = {}
+    producing = []
+    produce, phases = Chain._produce_block, Chain._phases
+
+    def recording_produce(self, height):
+        producing.append(height)
+        try:
+            return produce(self, height)
+        finally:
+            producing.pop()
+
+    def recording_phases(self):
+        for phase, due in phases(self):
+            if producing and due is not None and due <= producing[-1]:
+                due_at.setdefault(producing[-1], []).append(phase)
+            yield phase, due
+
+    monkeypatch.setattr(Chain, "_produce_block", recording_produce)
+    monkeypatch.setattr(Chain, "_phases", recording_phases)
+    return due_at
+
+
+def test_every_phase_has_a_case():
+    chain = Chain(build_state({}), Scenario(name="phases", end_height=0))
+    assert [phase for phase, _ in chain._phases()] == list(PHASE_CASES)
+
+
+@pytest.mark.parametrize("phase", PHASE_CASES)
+def test_each_phase_alone_wakes_its_block(phase, monkeypatch):
+    genesis_cfg, scenario_cfg = PHASE_CASES[phase]
+    with monkeypatch.context() as patch:
+        due_at = _record_due_phases(patch)
+        result = run_scenario(build_state(genesis_cfg), parse_scenario(scenario_cfg))
+    assert result.final_state.height == END
+    assert due_at[WAKE] == [phase]
+    assert WAKE + 1 not in due_at   # the block after is fast-forwarded
+    _assert_run_matches_step_loop(genesis_cfg, scenario_cfg, monkeypatch)
