@@ -9,14 +9,11 @@ with weights taken from each voter's bonded stake at tally time.
 Every governable parameter is a (subspace, key) in `PARAM_KEYS`, paired with
 the reader of its value, as Cosmos SDK's x/params registers a `ParamSetPair`.
 A change's value is read once, at submission, and activation sets the value
-read: once its proposal passes (`schedule_changes`), a distribution, staking
-or transfer change activates at the next block (`activate_block_changes`), a
-treasury policy at the next epoch boundary (`treasury.epoch_transition`).
-A proposal's changes due at one block are set together or not at all; a
-proposal whose changes the params refuse ends `failed`, as in x/gov, and its
-queued treasury policies are dropped. One gap is left: a tally at an epoch
-boundary sets its policies at that turnover, before the next block refuses
-the rest.
+read. A passed proposal is decided at its tally, all or nothing, as in x/gov
+(`schedule_changes`): if a params record refuses its changes it ends `failed`
+and queues nothing; otherwise a distribution, staking or transfer change
+activates at the next block (`activate_block_changes`), a treasury policy
+at the next epoch boundary (`treasury.epoch_transition`).
 """
 
 from __future__ import annotations
@@ -279,13 +276,38 @@ def _warn(state, text: str) -> None:
     log.warning(text)
 
 
+def _rebuilt(state, subspace: str, values: dict):
+    """The `subspace` params record of `state` rebuilt with `values` ({key: the
+    value read}) set; a record that refuses them raises ValueError."""
+    params = getattr(state, subspace).params
+    names = {f.name.replace("_", ""): f.name for f in fields(params)}
+    return replace(params, **{names[k.lower()]: v for k, v in values.items()})
+
+
+def _values(changes) -> dict:
+    """subspace -> {key: the value read} of `changes`; a later change of a key wins."""
+    values: dict = {}
+    for c in changes:
+        values.setdefault(c.subspace, {})[c.key] = c.parsed
+    return values
+
+
 def schedule_changes(state, prop: Proposal, height: int) -> None:
-    """Stage the changes of `prop`, which passed at `height`, on the ChainState
-    `state`: a treasury policy queues for the next epoch boundary, every other
-    change for the next block. A text proposal is applied at once."""
-    if prop.kind == TEXT:
-        prop.status = APPLIED
-        return
+    """Decide `prop`, passed at `height`, on the ChainState `state`. If a params
+    record refuses its values, set over those that the proposals tallied before
+    it staged for the next block, it fails, with a warning, and queues nothing;
+    else its policies queue for the next epoch boundary, the rest for the next block."""
+    staged = _values(c for _, _, c in state.pending_block_changes)
+    records = (c for c in prop.changes if c.subspace in ("distribution", "staking"))
+    for subspace, vals in _values(records).items():
+        try:
+            _rebuilt(state, subspace, {**staged.get(subspace, {}), **vals})
+        except ValueError as exc:
+            keys = ", ".join(f"{subspace}/{k}" for k in vals)
+            _warn(state, f"proposal {prop.proposal_id}: change{'s' if len(vals) > 1 else ''} "
+                         f"{keys} failed to apply: {exc}")
+            prop.status = FAILED
+            return
     if lone_tax_policy_warning(prop):
         _warn(state, f"proposal {prop.proposal_id}: TaxPolicy updated without RewardPolicy "
                      f"in the same proposal; burned taxes will not recycle as intended")
@@ -295,48 +317,26 @@ def schedule_changes(state, prop: Proposal, height: int) -> None:
         else:
             state.pending_block_changes.append((height + 1, prop.proposal_id, change))
         prop.pending_activations += 1
+    if not prop.changes:   # a text proposal applies at once
+        prop.status = APPLIED
 
 
 def activate_block_changes(state, height: int) -> None:
-    """Set the parameters of the staged changes due at `height`, a proposal at
-    a time: each params record it touches is rebuilt once, with all of its
-    values, so their order does not matter. If a record refuses them (a fee
-    split above 1), none is set, nor any of the proposal's queued treasury
-    policies, and the proposal ends failed, with a warning."""
-    if not state.pending_block_changes:
-        return
-    due = [e for e in state.pending_block_changes if e[0] <= height]
-    state.pending_block_changes = [e for e in state.pending_block_changes if e[0] > height]
-    staged: dict = {}   # proposal id -> subspace -> {key: the value read}
-    for _, pid, c in due:
-        staged.setdefault(pid, {}).setdefault(c.subspace, {})[c.key] = c.parsed
-    for pid, values in staged.items():
-        transfer = values.pop("transfer", {})
-        records = {}
-        try:
-            for subspace, vals in values.items():
-                params = getattr(state, subspace).params
-                names = {f.name.replace("_", ""): f.name for f in fields(params)}
-                records[subspace] = replace(params, **{names[k.lower()]: v
-                                                       for k, v in vals.items()})
-        except ValueError as exc:
-            keys = ", ".join(f"{subspace}/{k}" for k in vals)
-            _warn(state, f"proposal {pid}: change{'s' if len(vals) > 1 else ''} {keys} "
-                         f"failed to apply: {exc}")
-            state.governance.proposals[pid].status = FAILED
-            state.governance.proposals[pid].pending_activations = 0
-            state.treasury.pending_policies = [e for e in state.treasury.pending_policies
-                                               if e[0] != pid]
+    """Set the staged changes, all due at `height`, the block after their
+    tally: each proposal was decided there on top of those staged before it."""
+    due, state.pending_block_changes = state.pending_block_changes, []
+    for subspace, vals in _values(c for _, _, c in due).items():
+        if subspace == "transfer":
+            state.transfer_params.update(vals)
         else:
-            for subspace, params in records.items():
-                getattr(state, subspace).params = params
-            state.transfer_params.update(transfer)
-            mark_activated(state, pid, sum(e[1] == pid for e in due))
+            getattr(state, subspace).params = _rebuilt(state, subspace, vals)
+    for _, pid, _ in due:
+        mark_activated(state, pid)
 
 
-def mark_activated(state, proposal_id: int, count: int = 1) -> None:
-    """Count `count` staged changes of the proposal as done; the last applies it."""
+def mark_activated(state, proposal_id: int) -> None:
+    """Count one staged change of the proposal as done; the last applies it."""
     prop = state.governance.proposals[proposal_id]
-    prop.pending_activations -= count
-    if prop.pending_activations <= 0 and prop.status == PASSED:
+    prop.pending_activations -= 1
+    if not prop.pending_activations:
         prop.status = APPLIED

@@ -23,8 +23,8 @@ version mix, when it has no delegate or create-validator msg at any exec
 depth or when every version runs the same rules at its height.
 
 Passed proposals act through `governance`, so `Chain` names no parameter: a
-block first runs `governance.activate_block_changes`, and a tally that
-passes runs `governance.schedule_changes`.
+block first runs `governance.activate_block_changes`, and a passed tally
+is decided, all or nothing, in `governance.schedule_changes`.
 
 Scenario events at a height run before that block's transactions, in
 declaration order; `submit-tx` events are included at exactly their height,

@@ -8,8 +8,8 @@ accumulate in a per-epoch counter; at every epoch boundary the counted
 amount is minted back to the treasury, a reward-weight share of it is burned
 for good, and the remainder is paid out to the community pool and bonded
 validators. Policy updates that governance queues on `pending_policies` when
-their proposal passes (`governance.schedule_changes`) activate at the
-boundary, so a new tax policy takes effect no earlier than the first block
+it decides their passed proposal (`governance.schedule_changes`) activate at
+the boundary, so a new tax policy takes effect no earlier than the first block
 of the next epoch. `set_policy` swaps a policy in, there and at genesis.
 """
 

@@ -10,8 +10,10 @@ Each `<`, `<=`, `>` and `>=` is flipped to its neighbour (`<` and `<=`,
 `>` and `>=`), one mutant at a time, in a copy of the checkout made in a
 temporary directory, so the checkout itself is never changed. For each
 mutant the suite runs once with `-x`, one process at a time, under a
-timeout. The suite fails on a killed mutant, runs past the timeout on a
-hung one, and passes on a survivor. The unmutated copy must pass first.
+timeout, after the proposer-rotation tests: they bound each rotation's
+steps, so a rotation that never ends fails there instead of hanging the
+first replay. The suite fails on a killed mutant, runs past the timeout on
+a hung one, and passes on a survivor. The unmutated copy must pass first.
 
 A survivor listed in EQUIVALENT is expected: the flip cannot change any
 result. Every other survivor is printed, and the exit status is 1 when
@@ -67,20 +69,28 @@ def mutant_id(path: str, op: str, line: str, k: int) -> str:
     return f"{path}: {line} #{k} {op} -> {FLIP[op]}"
 
 
+# run before the suite: the tests whose rotations fail rather than hang
+FIRST = ["tests/test_idle_fast_forward.py", "-k", "rotation"]
+
+
 def run_suite(root: Path, timeout: float) -> str:
-    """'passed', 'failed' or 'hung': the tier-1 suite with -x in `root`."""
+    """'passed', 'failed' or 'hung': the rotation tests, then the tier-1
+    suite, each with -x in `root` and under `timeout`."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-           "--continue-on-collection-errors"]
-    proc = subprocess.Popen(cmd, cwd=root, env=env, stdout=subprocess.DEVNULL,
-                            stderr=subprocess.DEVNULL, start_new_session=True)
-    try:
-        code = proc.wait(timeout=timeout)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)   # the suite and whatever it started
-        proc.wait()
-        return "hung"
-    return "passed" if code == 0 else "failed"
+    for args in (FIRST, []):
+        cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+               "--continue-on-collection-errors", *args]
+        proc = subprocess.Popen(cmd, cwd=root, env=env, stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL, start_new_session=True)
+        try:
+            code = proc.wait(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)   # the suite and whatever it started
+            proc.wait()
+            return "hung"
+        if code:
+            return "failed"
+    return "passed"
 
 
 def main(argv=None) -> int:

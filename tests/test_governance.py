@@ -2,6 +2,7 @@ import copy
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from luncsim.errors import (
     MalformedProposal,
@@ -230,15 +231,15 @@ EPOCH = 10
 TALLY_HEIGHT = 6   # submitted at 1, five blocks of voting
 
 
-def _passing_chain(changes):
+def _passing_chain(changes, submitted=1):
     genesis = {"staking": {"validators": [{"address": "val1", "tokens": str(10 * M)}]},
                "treasury": {"tax_rate": "1/2", "epoch_length_blocks": EPOCH},
                "governance": {"voting_period_blocks": 5}}
     scenario = {"name": "activation", "end_height": 2 * EPOCH, "events": [
-        {"at_height": 1, "action": "submit-proposal",
+        {"at_height": submitted, "action": "submit-proposal",
          "proposal": {"kind": "param-change", "changes": changes}},
-        {"at_height": 2, "action": "cast-vote", "voter": "val1", "proposal_id": 1,
-         "option": "yes"}]}
+        {"at_height": submitted + 1, "action": "cast-vote", "voter": "val1",
+         "proposal_id": 1, "option": "yes"}]}
     return Chain(build_state(genesis), parse_scenario(scenario))
 
 
@@ -266,15 +267,18 @@ def test_each_key_activates_the_value_read_from_its_input(subspace, key, raw, pa
 
 
 def test_a_fee_split_above_one_warns_and_leaves_the_params():
+    # refused at the tally, the change is never staged for the next block
     chain = _passing_chain([{"subspace": "distribution", "key": "communitytax",
                              "value": "0.96"}])
     before = chain.state.distribution.params
-    _step_to(chain, TALLY_HEIGHT + 1)
-    assert chain.state.distribution.params == before
+    _step_to(chain, TALLY_HEIGHT)
     assert chain.state.warnings == [
         "proposal 1: change distribution/communitytax failed to apply: "
         "fee split fractions must not exceed 1 in total"]
     assert chain.state.governance.proposals[1].status == "failed"
+    assert chain.state.pending_block_changes == []
+    _step_to(chain, TALLY_HEIGHT + 1)
+    assert chain.state.distribution.params == before
 
 
 _SPLIT = [{"subspace": "distribution", "key": "communitytax", "value": "0.97"},
@@ -302,23 +306,26 @@ def test_a_refused_record_sets_none_of_its_proposals_changes():
         {"subspace": "distribution", "key": "baseproposerreward", "value": "0.5"}])
     before = copy.deepcopy((chain.state.distribution.params, chain.state.staking.params,
                             chain.state.transfer_params))
-    _step_to(chain, TALLY_HEIGHT + 1)
-    assert (chain.state.distribution.params, chain.state.staking.params,
-            chain.state.transfer_params) == before
+    _step_to(chain, TALLY_HEIGHT)
     assert chain.state.warnings == [
         "proposal 1: changes distribution/communitytax, distribution/baseproposerreward "
         "failed to apply: fee split fractions must not exceed 1 in total"]
     prop = chain.state.governance.proposals[1]
     assert (prop.status, prop.pending_activations) == ("failed", 0)
+    _step_to(chain, TALLY_HEIGHT + 1)
+    assert (chain.state.distribution.params, chain.state.staking.params,
+            chain.state.transfer_params) == before
+
+
+_REFUSED = [{"subspace": "treasury", "key": "TaxPolicy",
+             "value": {"rate_min": "1/100", "rate_max": "2/100"}},
+            {"subspace": "distribution", "key": "communitytax", "value": "0.96"}]
 
 
 def test_a_failed_proposal_sets_none_of_its_treasury_policies():
-    # the fee split is refused at the next block, before the epoch boundary
-    chain = _passing_chain([
-        {"subspace": "treasury", "key": "TaxPolicy",
-         "value": {"rate_min": "1/100", "rate_max": "2/100"}},
-        {"subspace": "distribution", "key": "communitytax", "value": "0.96"}])
-    _step_to(chain, TALLY_HEIGHT + 1)
+    # the fee split is refused at the tally, so the policy is never queued
+    chain = _passing_chain(_REFUSED)
+    _step_to(chain, TALLY_HEIGHT)
     prop = chain.state.governance.proposals[1]
     assert (prop.status, prop.pending_activations) == ("failed", 0)
     assert chain.state.treasury.pending_policies == []
@@ -326,3 +333,102 @@ def test_a_failed_proposal_sets_none_of_its_treasury_policies():
     assert chain.state.treasury.tax_rate == Fraction(1, 2)
     assert chain.epoch_events[0]["policies_applied"] == []
     assert prop.status == "failed"
+
+
+def test_a_proposal_refused_at_an_epoch_boundary_sets_no_policy_there():
+    # tallied at the boundary 10, whose epoch turnover runs after the tallies:
+    # the proposal is decided before the turnover, so its policy never queues
+    chain = _passing_chain(_REFUSED, submitted=5)
+    while chain.state.height < 2 * EPOCH:
+        chain.step()
+        assert chain.state.treasury.tax_rate == Fraction(1, 2)
+        if chain.state.height >= EPOCH:
+            assert chain.state.governance.proposals[1].status == "failed"
+    assert chain.epoch_events[0]["height"] == EPOCH
+    assert chain.epoch_events[0]["policies_applied"] == []
+
+
+# -- a proposal is decided at its tally: all of its changes or none ------------
+
+_SHARE_KEYS = {"communitytax": "community_tax", "baseproposerreward": "base_proposer_reward",
+               "bonusproposerreward": "bonus_proposer_reward"}
+_END = 3 * EPOCH   # after the last epoch boundary a tally can reach
+
+
+def _proposals_chain(proposals, period, refused=()):
+    """Each of `proposals`, (submit height, {share key: hundredths}, tax rate
+    window in hundredths), in submission order, carries a TaxPolicy and its
+    shares; the one validator votes yes on each, but no on those in `refused`."""
+    events = []
+    for pid, (height, shares, (low, high)) in enumerate(proposals, start=1):
+        changes = [{"subspace": "treasury", "key": "TaxPolicy",
+                    "value": {"rate_min": f"{low}/100", "rate_max": f"{high}/100"}}]
+        changes += [{"subspace": "distribution", "key": k, "value": f"{v}/100"}
+                    for k, v in shares.items()]
+        events += [{"at_height": height, "action": "submit-proposal",
+                    "proposal": {"kind": "param-change", "changes": changes}},
+                   {"at_height": height, "action": "cast-vote", "voter": "val1",
+                    "proposal_id": pid, "option": "no" if pid in refused else "yes"}]
+    genesis = {"staking": {"validators": [{"address": "val1", "tokens": str(10 * M)}]},
+               "treasury": {"tax_rate": "1/2", "epoch_length_blocks": EPOCH},
+               "governance": {"voting_period_blocks": period}}
+    scenario = {"name": "decided", "end_height": _END, "events": events}
+    return Chain(build_state(genesis), parse_scenario(scenario))
+
+
+def _trace(chain):
+    """Step to the end; per height, the params, policies and rates, and the statuses."""
+    params, statuses = [], []
+    while chain.state.height < _END:
+        chain.step()
+        s = chain.state
+        params.append(copy.deepcopy((s.distribution.params, s.staking.params, s.transfer_params,
+                                     s.treasury.tax_policy, s.treasury.reward_policy,
+                                     s.treasury.tax_rate, s.treasury.reward_weight)))
+        statuses.append({pid: p.status for pid, p in s.governance.proposals.items()})
+    return params, statuses
+
+
+_proposal = st.tuples(
+    st.integers(1, 14),
+    st.dictionaries(st.sampled_from(sorted(_SHARE_KEYS)), st.integers(0, 100),
+                    min_size=1, max_size=3),
+    st.tuples(st.integers(1, 5), st.integers(0, 5)).map(lambda w: (w[0], w[0] + w[1])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(proposals=st.lists(_proposal, min_size=1, max_size=4), period=st.integers(1, 11))
+# tallied together at the boundary 10: the second fits only without the first
+@example(proposals=[(5, {"communitytax": 50}, (1, 2)), (5, {"baseproposerreward": 50}, (3, 4))],
+         period=5)
+def test_a_passed_proposal_applies_all_of_its_changes_or_none(proposals, period):
+    proposals = sorted(proposals, key=lambda p: p[0])
+    chain = _proposals_chain(proposals, period)
+    params, statuses = _trace(chain)   # index h - 1 holds height h
+    splits = {}   # tally height -> the fee split its applied proposals leave, in id order
+    failed = set()
+    for pid, (height, shares, _) in enumerate(proposals, start=1):
+        tallied = height + period
+        split = splits.setdefault(tallied, dict(vars(params[tallied - 1][0])))
+        own = {_SHARE_KEYS[k]: Fraction(v, 100) for k, v in shares.items()}
+        status = statuses[-1][pid]
+        # decided on top of the shares of the proposals applied before it at its tally
+        assert status == ("applied" if sum({**split, **own}.values()) <= 1 else "failed")
+        boundary = -(-tallied // EPOCH) * EPOCH
+        policy_set_at = [e["height"] for e in chain.epoch_events
+                         if (pid, "TaxPolicy") in e["policies_applied"]]
+        if status == "applied":
+            split.update(own)
+            assert policy_set_at == [boundary]
+        else:
+            failed.add(pid)
+            assert policy_set_at == []
+            assert chain.state.governance.proposals[pid].pending_activations == 0
+            assert all(s[pid] == "failed" for s in statuses[tallied - 1:])
+    # the block after a tally sets every share of the proposals applied there
+    for tallied, split in splits.items():
+        assert vars(params[tallied][0]) == split
+    # a failed proposal touched nothing: with it refused at the vote instead,
+    # the same params, policies and rates follow at every height
+    if failed:
+        assert _trace(_proposals_chain(proposals, period, refused=failed))[0] == params

@@ -16,7 +16,7 @@ from luncsim import simulator
 from luncsim.errors import ChainHalted, ParseError
 from luncsim.scenario import Scenario
 from luncsim.simulator import COMMITTED, Chain, run_scenario
-from luncsim.staking import INACTIVE
+from luncsim.staking import INACTIVE, consensus_powers
 from luncsim.state import state_hash
 
 from fuzztools import build_fuzz_configs
@@ -75,9 +75,9 @@ def test_rotation_over_n_blocks_matches_n_single_rotations(validators, known, st
 
     batched = _rotation_chain(validators, priority)
     stepped = _rotation_chain(validators, priority)
-    last = batched._select_proposer(blocks)
+    last, _ = _stepped_rotation(batched, blocks, pytest.MonkeyPatch())
     for _ in range(blocks):
-        last_single = stepped._select_proposer()
+        last_single, _ = _stepped_rotation(stepped, 1, pytest.MonkeyPatch())
     assert last == last_single
     assert batched.state.proposer_priority == stepped.state.proposer_priority
 
@@ -94,18 +94,22 @@ def test_rotation_over_n_blocks_matches_n_single_rotations(validators, known, st
 
 
 def _stepped_rotation(chain, blocks, monkeypatch):
-    """Rotate `blocks` blocks; returns the last proposer and the steps taken."""
+    """Rotate `blocks` blocks; returns the last proposer and the steps taken.
+    A rotation that steps more often than once a block fails at once, so one
+    that never ends fails instead of hanging the suite."""
     adds = []
+    # the rotation adds the powers with one `add` per validator and step
+    validators = sum(1 for p in consensus_powers(chain.state.staking).values() if p)
 
     def counting_add(a, b):
         adds.append(None)
+        assert len(adds) <= blocks * validators, f"more than {blocks} steps"
         return a + b
 
     with monkeypatch.context() as patch:
-        # the rotation adds the powers with one `add` per validator and step
         patch.setattr(simulator, "add", counting_add)
         last = chain._select_proposer(blocks)
-    return last, len(adds) // len(chain.state.proposer_priority)
+    return last, len(adds) // max(validators, 1)
 
 
 def _reference_over(powers: dict, priority: dict, blocks: int):
