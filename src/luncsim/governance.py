@@ -9,11 +9,12 @@ with weights taken from each voter's bonded stake at tally time.
 Every governable parameter is a (subspace, key) in `PARAM_KEYS`, paired with
 the reader of its value, as Cosmos SDK's x/params registers a `ParamSetPair`.
 A change's value is read once, at submission, and activation sets the value
-read. A passed proposal is decided at its tally, all or nothing, as in x/gov
-(`schedule_changes`): if a params record refuses its changes it ends `failed`
-and queues nothing; otherwise a distribution, staking or transfer change
-activates at the next block (`activate_block_changes`), a treasury policy
-at the next epoch boundary (`treasury.epoch_transition`).
+read. Governance owns a proposal from tally to activation, as x/gov's EndBlocker
+does: `end_voting` tallies the proposals whose voting has ended and decides each
+that passes, all or nothing (`schedule_changes`). If a params record refuses its
+changes it ends `failed` and queues nothing; otherwise a distribution, staking
+or transfer change activates at the next block (`activate_block_changes`), a
+treasury policy at the next epoch boundary (`activate_policies`).
 """
 
 from __future__ import annotations
@@ -319,6 +320,34 @@ def schedule_changes(state, prop: Proposal, height: int) -> None:
         prop.pending_activations += 1
     if not prop.changes:   # a text proposal applies at once
         prop.status = APPLIED
+
+
+def end_voting(state, height: int) -> dict:
+    """Tally each proposal whose voting has ended by `height`, in id order, and
+    decide each that passes; returns {proposal id: tally status}."""
+    gov = state.governance
+    outcomes = {}
+    for pid, prop in sorted(gov.proposals.items()):
+        if prop.status == VOTING and prop.voting_end_height <= height:
+            status = outcomes[pid] = tally(gov, state.staking, pid, height)
+            log.info("height %d: proposal %d %s", height, pid, status)
+            if status == PASSED:
+                schedule_changes(state, prop, height)
+    return outcomes
+
+
+def activate_policies(state, height: int) -> list:
+    """Set the queued treasury policies at the epoch boundary `height`, one at a
+    time, so each snaps its rate; returns [(proposal id, key)]."""
+    ts = state.treasury
+    applied = []
+    for pid, key, policy in ts.pending_policies:
+        treasury_mod.set_policy(ts, key, policy)
+        mark_activated(state, pid)
+        log.info("epoch %d: proposal %s activated %s", height // ts.epoch_length_blocks, pid, key)
+        applied.append((pid, key))
+    ts.pending_policies = []
+    return applied
 
 
 def activate_block_changes(state, height: int) -> None:

@@ -22,9 +22,9 @@ version-independent, so a block is applied with no decision, whatever the
 version mix, when it has no delegate or create-validator msg at any exec
 depth or when every version runs the same rules at its height.
 
-Passed proposals act through `governance`, so `Chain` names no parameter: a
-block first runs `governance.activate_block_changes`, and a passed tally
-is decided, all or nothing, in `governance.schedule_changes`.
+Governance owns a proposal from tally to activation, so `Chain` names no
+parameter: its phases call `governance.activate_block_changes`, `end_voting`
+and, at an epoch boundary, `activate_policies`.
 
 Scenario events at a height run before that block's transactions, in
 declaration order; `submit-tx` events are included at exactly their height,
@@ -80,7 +80,7 @@ from .errors import (
     SimError,
     UnknownValidator,
 )
-from .governance import PASSED, VOTING
+from .governance import VOTING
 from .ledger import COMMUNITY_POOL, FEE_COLLECTOR
 from .scenario import Scenario
 from .state import ChainState, PendingTx, SniperState, state_hash, verify_invariants
@@ -392,22 +392,20 @@ class Chain:
         if self.state.halted:
             raise ChainHalted(f"chain is halted at height {self.state.height}")
         state = self.state
-        activity = False
+        ran = False   # a phase ran in this block
         compatible = Fraction(1)
         for phase, due in self._phases():
-            if phase == "txs":   # grouped in every block that reaches the txs
-                version_power = self._version_groups()
-            elif phase == "fees":
+            if phase == "fees":
                 state.height = height
                 proposer = self._select_proposer()
             if due is None or due > height:
                 continue
+            ran = True
             if phase == "activate":
                 gov_mod.activate_block_changes(state, height)
             elif phase == "events":
                 # one event at a time: after a `rollback-to` the events behind it
                 # stay pending and run when the new fork reaches their height
-                activity = True
                 events = self.events
                 while self._cursor < len(events) and events[self._cursor].at_height <= height:
                     ev = events[self._cursor]
@@ -417,7 +415,7 @@ class Chain:
             elif phase == "snipers":
                 self._fire_snipers(height)
             elif phase == "txs":
-                activity = True
+                version_power = self._version_groups()
                 pending = [p for p in state.mempool if p.inclusion_height <= height]
                 groups: dict = {}   # staking rules -> the powered versions running them
                 for v in sorted(v for v, p in version_power.items() if p):
@@ -435,40 +433,28 @@ class Chain:
                 self.tx_log[height] = apply_txs(state, pending, height, ver)
                 state.mempool = [p for p in state.mempool if p.inclusion_height > height]
             elif phase == "fees" and proposer is not None:
-                activity = True
                 # genesis may seed a zero entry in the collector
                 fees = {d: a for d, a in state.bank.module_balances(FEE_COLLECTOR).items() if a}
                 precommit = self.scenario.precommit_overrides.get(height, compatible)
                 dist_mod.allocate_block_fees(state.bank, state.distribution, state.staking,
                                              fees, proposer, precommit)
             elif phase == "unbondings":
-                activity = True
                 staking_mod.mature_unbondings(state.bank, state.staking, height)
             elif phase == "tallies":
-                activity = True
-                gov = state.governance
-                for pid, prop in sorted(gov.proposals.items()):
-                    if prop.status == VOTING and prop.voting_end_height <= height:
-                        status = gov_mod.tally(gov, state.staking, pid, height)
-                        self.tally_outcomes[pid] = status
-                        log.info("height %d: proposal %d %s", height, pid, status)
-                        if status == PASSED:
-                            gov_mod.schedule_changes(state, prop, height)
+                self.tally_outcomes.update(gov_mod.end_voting(state, height))
             elif phase == "epoch":
-                activity = True
                 summary = treasury_mod.epoch_transition(
                     state.bank, state.treasury, state.distribution, state.staking, height)
+                summary["policies_applied"] = gov_mod.activate_policies(state, height)
                 summary["height"] = height
                 self.epoch_events.append(summary)
-                for pid, _key in summary["policies_applied"]:
-                    gov_mod.mark_activated(state, pid)
             elif phase == "upgrades":
                 for validator, version in self._pending_upgrades:
                     state.staking.validators[validator].software_version = version
                 self._pending_upgrades = []
             elif phase == "snapshot":
                 self._snapshots[height] = state.clone()
-        self._check_invariants(height, activity)
+        self._check_invariants(height, ran)
         self._add_rows(height, height)
         return ConsensusOutcome(status=COMMITTED, height=height, proposer=proposer)
 
@@ -494,10 +480,10 @@ class Chain:
         return winners[0], Fraction(sum(version_power[v] for v in winners),
                                     sum(version_power.values()))
 
-    def _check_invariants(self, height: int, activity: bool) -> None:
-        # with the automatic cadence, every block with activity is checked too
+    def _check_invariants(self, height: int, ran: bool) -> None:
+        # with the automatic cadence, every block that ran a phase is checked too
         if height % self._invariant_every == 0 or \
-                (activity and not self.scenario.invariant_interval):
+                (ran and not self.scenario.invariant_interval):
             verify_invariants(self.state)
 
     def _report_row(self) -> tuple:
@@ -554,8 +540,8 @@ class Chain:
         """Commit the idle blocks from the next height through `last` in one pass.
 
         Proposer priority rotates once per block and the invariants are
-        checked at the heights `_check_invariants` picks for a block without
-        activity, on the state that block would leave. An idle block changes
+        checked at the heights `_check_invariants` picks for a block that runs
+        no phase, on the state that block would leave. An idle block changes
         no reported value, so all of them are one report run, which usually
         extends the run of the block before.
         """

@@ -7,15 +7,14 @@ the state, but no update path applies it. Burns executed by the fee pipeline
 accumulate in a per-epoch counter; at every epoch boundary the counted
 amount is minted back to the treasury, a reward-weight share of it is burned
 for good, and the remainder is paid out to the community pool and bonded
-validators. Policy updates that governance queues on `pending_policies` when
-it decides their passed proposal (`governance.schedule_changes`) activate at
-the boundary, so a new tax policy takes effect no earlier than the first block
-of the next epoch. `set_policy` swaps a policy in, there and at genesis.
+validators. Governance queues a passed proposal's policies on `pending_policies`
+and sets them after the next boundary's cycle (`governance.activate_policies`),
+so a new tax policy takes effect no earlier than the first block of the next
+epoch. `set_policy` swaps a policy in, there and at genesis.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -24,8 +23,6 @@ from .errors import MalformedProposal, ParseError
 from .inputs import coin, fraction, read
 from .journal import Journal
 from .ledger import TREASURY
-
-log = logging.getLogger("luncsim.treasury")
 
 # One week of 7-second blocks.
 DEFAULT_EPOCH_LENGTH_BLOCKS = 86_400
@@ -87,7 +84,7 @@ class TreasuryState:
     tax_caps: dict = field(default_factory=dict)
     default_tax_cap: int = DEFAULT_TAX_CAP
     epoch_burned: dict = field(default_factory=dict)
-    # [(proposal_id, key, PolicyConstraints), ...] applied at the boundary.
+    # [(proposal_id, key, PolicyConstraints), ...] that governance sets at the boundary
     pending_policies: list = field(default_factory=list)
     # the owning ChainState's undo journal, or a store's own
     journal: Journal = field(default_factory=Journal, repr=False, compare=False)
@@ -127,19 +124,9 @@ def set_policy(ts: TreasuryState, key: str, policy: PolicyConstraints) -> None:
         ts.reward_weight = policy.clamp(ts.reward_weight)
 
 
-def apply_pending_policies(ts: TreasuryState) -> list:
-    """Swap in queued policies; the active rates snap into the new windows."""
-    applied = []
-    for pid, key, policy in ts.pending_policies:
-        set_policy(ts, key, policy)
-        applied.append((pid, key))
-    ts.pending_policies = []
-    return applied
-
-
 def epoch_transition(bank, ts: TreasuryState, dist_state, staking_state,
                      height: int) -> dict:
-    """Run the end-of-epoch seigniorage cycle and activate queued policies.
+    """Run the end-of-epoch seigniorage cycle.
 
     Mints exactly what the epoch burned, burns the reward-weight share of it,
     hands the rest to the distribution module, then resets the counter.
@@ -162,9 +149,5 @@ def epoch_transition(bank, ts: TreasuryState, dist_state, staking_state,
         bank.burn(TREASURY, burned)
         if distributed:
             dist_mod.allocate_seigniorage(bank, dist_state, staking_state, distributed)
-    applied = apply_pending_policies(ts)
-    for pid, key in applied:
-        log.info("epoch %d: proposal %s activated %s", height // ts.epoch_length_blocks, pid, key)
     ts.epoch_burned = {}
-    return {"minted": minted, "burned": burned, "distributed": distributed,
-            "policies_applied": applied}
+    return {"minted": minted, "burned": burned, "distributed": distributed}

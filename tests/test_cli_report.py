@@ -215,6 +215,24 @@ MALFORMED_MSGS = {
     "undelegate-zero": (
         {"kind": "undelegate", "delegator": "val1", "validator": "val1",
          "amount": {"denom": "uluna", "amount": "0"}}, "InvalidCoin"),
+    "undelegate-non-bond-denom": (
+        {"kind": "undelegate", "delegator": "val1", "validator": "val1",
+         "amount": {"denom": "uusd", "amount": "5"}}, "InvalidCoin"),
+    # the full undelegation leaves val1 inactive, so the delegation finds no validator
+    "delegate-to-a-validator-undelegated-to-zero": (
+        {"kind": "exec", "sender": "alice", "msgs": [
+            {"kind": "undelegate", "delegator": "val1", "validator": "val1",
+             "amount": {"denom": "uluna", "amount": "10000000"}},
+            {"kind": "delegate", "delegator": "alice", "validator": "val1",
+             "amount": {"denom": "uluna", "amount": "1000"}}]}, "UnknownValidator"),
+    "proposal-kind-unknown": (
+        {"kind": "submit-proposal", "proposer": "alice", "proposal": {"kind": "foo"}},
+        "MalformedProposal"),
+    "text-proposal-with-changes": (
+        {"kind": "submit-proposal", "proposer": "alice",
+         "proposal": {"kind": "text", "changes": [
+             {"subspace": "distribution", "key": "communitytax", "value": "0.1"}]}},
+        "MalformedProposal"),
     "proposal-not-a-mapping": (
         {"kind": "submit-proposal", "proposer": "alice",
          "proposal": "raise the tax"}, "MalformedProposal"),
@@ -401,6 +419,27 @@ def test_refused_scenario_event_exits_four(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{event['action']} event at height 3" in err
     assert error in err
+
+
+def test_a_vote_on_a_tallied_proposal_is_refused(tmp_path, capsys):
+    # voting on proposal 1 ends at 2, so at 3 it is no longer in voting: the
+    # event form exits 4, the msg form fails its tx
+    g = _write(tmp_path, "g.json", dict(GENESIS, governance={"voting_period_blocks": 1}))
+    submitted = {"at_height": 1, "action": "submit-proposal", "proposal": {"kind": "text"}}
+    vote = {"voter": "alice", "proposal_id": 1, "option": "yes"}
+    s = _write(tmp_path, "e.json", {"name": "late-vote", "end_height": 5, "events": [
+        submitted, {"at_height": 3, "action": "cast-vote", **vote}]})
+    assert main(["run", "--genesis", g, "--scenario", s]) == 4
+    err = capsys.readouterr().err
+    assert "cast-vote event at height 3: MalformedProposal: proposal 1 is not in voting" in err
+    s = _write(tmp_path, "s.json", {"name": "late-vote", "end_height": 5, "events": [
+        submitted, {"at_height": 3, "action": "submit-tx", "tx": {
+            "fee_payer": "alice", "declared_fee": [{"denom": "uluna", "amount": "100"}],
+            "msgs": [{"kind": "vote", **vote}]}}]})
+    out = tmp_path / "out"
+    assert main(["run", "--genesis", g, "--scenario", s, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["tx_results"] == {"3": [["failed", "MalformedProposal"]]}
 
 
 def test_unknown_validator_upgrade_in_halt_recovery_exits_four(tmp_path, capsys):

@@ -18,6 +18,7 @@ from luncsim.errors import (
     UnknownModule,
 )
 from luncsim.ledger import BURN_MODULE, FEE_COLLECTOR, TREASURY
+from luncsim.staking import UnbondingEntry
 from luncsim.state import verify_invariants
 
 from helpers import balance, chain_fixture, fresh_bank, full_canonical
@@ -157,6 +158,37 @@ def test_the_invariant_walk_makes_as_many_calls_at_10_as_at_10000_accounts():
     small, large = (chain_fixture(accounts=[(f"acct{i:05d}", "uluna", i + 1) for i in range(n)],
                                   validators=[("val1", 5_000_000)]) for n in (10, 10_000))
     assert _calls_made(verify_invariants, small) == _calls_made(verify_invariants, large)
+
+
+def _break_unbonding(state):
+    state.staking.unbonding.append(UnbondingEntry("val1", "val1", 5, 10))
+
+
+def _break_stake(state):
+    state.staking.validators["val1"].tokens += 1
+    state.staking.delegations["val1"]["val1"] += 1
+
+
+# one field broken by hand on a built state, and the exact text of the identity it breaks
+BROKEN_IDENTITIES = {
+    "supply": (lambda s: s.bank.supply.cumulative_minted.update(uluna=7),
+               "supply identity broken for uluna: total 1050 != genesis+minted-burned 1057"),
+    "share": (lambda s: setattr(s.staking.validators["val1"], "tokens", 1001),
+              "share identity broken for val1: shares 1000 != tokens 1001"),
+    "stake": (_break_stake, "stake conservation broken: validators hold 1001, bonded pool 1000"),
+    "unbonding": (_break_unbonding, "unbonding conservation broken: entries 5, pool 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_IDENTITIES))
+def test_each_broken_identity_raises_its_text(case):
+    state = chain_fixture(accounts=[("alice", "uluna", 50)], validators=[("val1", 1000)])
+    verify_invariants(state)
+    brk, text = BROKEN_IDENTITIES[case]
+    brk(state)
+    with pytest.raises(InvariantViolation) as exc:
+        verify_invariants(state)
+    assert str(exc.value) == text
 
 
 # -- journal branches over the columnar bank ----------------------------------

@@ -19,7 +19,9 @@ from luncsim.governance import (
     YES,
     GovernanceState,
     GovParams,
+    activate_policies,
     cast_vote,
+    end_voting,
     lone_tax_policy_warning,
     submit_proposal,
     tally,
@@ -346,6 +348,63 @@ def test_a_proposal_refused_at_an_epoch_boundary_sets_no_policy_there():
             assert chain.state.governance.proposals[1].status == "failed"
     assert chain.epoch_events[0]["height"] == EPOCH
     assert chain.epoch_events[0]["policies_applied"] == []
+
+
+# -- the epoch boundary sets the queued policies, one at a time -----------------
+
+def _policy(low, high):
+    return {"rate_min": low, "rate_max": high, "change_rate_max": "0"}
+
+
+def _passed(treasury, proposals, first_id=1):
+    """A built state where each of `proposals`, a list of (key, policy value)
+    changes, has passed its tally at 5 and queued its policies."""
+    state = build_state({"staking": {"validators": [{"address": "val1", "tokens": str(10 * M)}]},
+                         "treasury": {**treasury, "epoch_length_blocks": EPOCH},
+                         "governance": {"voting_period_blocks": 5}})
+    gov = state.governance
+    gov.next_proposal_id = first_id
+    for changes in proposals:
+        prop = submit_proposal(gov, PARAM_CHANGE, height=0, changes=[
+            {"subspace": "treasury", "key": key, "value": value} for key, value in changes])
+        cast_vote(gov, "val1", prop.proposal_id, YES)
+    assert set(end_voting(state, 5).values()) == {"passed"}
+    return state
+
+
+def test_policy_activation_snaps_rate_but_allows_jump():
+    # activation clamps into the new window no matter how far the jump is
+    state = _passed({"tax_rate": "0"}, [[("TaxPolicy", _policy("0.012", "0.012"))]])
+    ts = state.treasury
+    assert activate_policies(state, EPOCH) == [(1, "TaxPolicy")]
+    assert ts.tax_rate == Fraction("0.012")
+    assert ts.pending_policies == []
+    assert state.governance.proposals[1].status == "applied"
+
+
+def test_activate_policies_sets_queued_policies():
+    state = _passed({"reward_weight": "1"}, [[("RewardPolicy", _policy("0.5", "0.5"))]],
+                    first_id=7)
+    assert activate_policies(state, 2 * EPOCH) == [(7, "RewardPolicy")]
+    assert state.treasury.reward_weight == Fraction("0.5")
+    assert state.governance.proposals[7].status == "applied"
+
+
+_TWO_TAX_POLICIES = [("TaxPolicy", _policy("0", "1/10")), ("TaxPolicy", _policy("1/20", "1"))]
+
+
+@pytest.mark.parametrize("proposals", [[_TWO_TAX_POLICIES], [[c] for c in _TWO_TAX_POLICIES]],
+                         ids=["one-proposal", "two-proposals"])
+def test_two_tax_policies_at_one_boundary_each_clamp_the_rate(proposals):
+    # 1/2 snaps to 1/10 in the first window and stays there in the second;
+    # the second window alone would leave it at 1/2
+    state = _passed({"tax_rate": "1/2"}, proposals)
+    applied = activate_policies(state, EPOCH)
+    assert [key for _, key in applied] == ["TaxPolicy", "TaxPolicy"]
+    assert state.treasury.tax_rate == Fraction(1, 10)
+    assert state.treasury.tax_policy.rate_min == Fraction(1, 20)
+    assert state.treasury.pending_policies == []
+    assert {p.status for p in state.governance.proposals.values()} == {"applied"}
 
 
 # -- a proposal is decided at its tally: all of its changes or none ------------

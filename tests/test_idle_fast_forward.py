@@ -265,9 +265,11 @@ def test_rebel1_invariant_cadence_is_not_thinned(monkeypatch):
     result = simulator.run_scenario(build_state(genesis_cfg), parse_scenario(scenario_cfg))
     assert result.blocks_committed == 125_000
     # the 125 multiples of 1000 in 7559601..7684600, the epoch turnover, the
-    # recovered halt block, val6's upgrade event and the check after the run
-    assert len(heights) == 129
-    assert [h for h in heights if h % 1000] == [7_603_200, 7_684_492, 7_684_494, 7_684_600]
+    # sniper's firing, the recovered halt block, val6's upgrade event and the
+    # check after the run
+    assert len(heights) == 130
+    assert [h for h in heights if h % 1000] == [7_603_200, 7_684_490, 7_684_492, 7_684_494,
+                                                7_684_600]
 
 
 # Sparse scenarios that wake the chain through every source the look-ahead

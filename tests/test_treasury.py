@@ -10,7 +10,6 @@ from luncsim.ledger import COMMUNITY_POOL, TREASURY
 from luncsim.treasury import (
     PolicyConstraints,
     TreasuryState,
-    apply_pending_policies,
     epoch_transition,
     record_epoch_burn,
 )
@@ -43,15 +42,6 @@ def test_from_config_validates():
                                        "change_rate_max": "0"})
     with pytest.raises(MalformedProposal):
         PolicyConstraints.from_config({"rate_min": "x"})
-
-
-def test_policy_activation_snaps_rate_but_allows_jump():
-    # activation clamps into the new window no matter how far the jump is
-    ts = TreasuryState(tax_rate=Fraction(0))
-    ts.pending_policies.append((1, "TaxPolicy", constraints("0.012", "0.012", "0")))
-    assert apply_pending_policies(ts) == [(1, "TaxPolicy")]
-    assert ts.tax_rate == Fraction("0.012")
-    assert ts.pending_policies == []
 
 
 def test_tax_cap_lookup_falls_back_to_default():
@@ -111,11 +101,3 @@ def test_epoch_transition_rejects_off_boundary_heights():
     bank, st, ts, ds = _epoch_setup("1", {})
     with pytest.raises(ValueError):
         epoch_transition(bank, ts, ds, st, height=150)
-
-
-def test_epoch_transition_applies_queued_policies():
-    bank, st, ts, ds = _epoch_setup("1", {})
-    ts.pending_policies.append((7, "RewardPolicy", constraints("0.5", "0.5", "0")))
-    out = epoch_transition(bank, ts, ds, st, height=200)
-    assert out["policies_applied"] == [(7, "RewardPolicy")]
-    assert ts.reward_weight == Fraction("0.5")
